@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "rag/reduction.h"
-
 namespace delta::deadlock {
 
 using rag::Edge;
@@ -21,6 +19,7 @@ DaaEngine::DaaEngine(std::size_t resources, std::size_t processes,
   if (!detect_) throw std::invalid_argument("DaaEngine: null detect hook");
   // Default priorities: p1 highest (paper §5.3), i.e. priority == index.
   for (ProcId p = 0; p < processes; ++p) priority_[p] = static_cast<int>(p);
+  waiting_.reserve(processes);
 }
 
 void DaaEngine::set_priority(ProcId p, int priority) {
@@ -32,12 +31,17 @@ bool DaaEngine::run_detect() {
   return detect_(state_);
 }
 
-std::vector<ProcId> DaaEngine::waiters_by_priority(ResId q) {
-  std::vector<ProcId> w = state_.waiters(q);
+const std::vector<ProcId>& DaaEngine::waiters_by_priority(ResId q) {
+  std::vector<ProcId>& w = waiting_;
+  w.clear();
+  state_.for_each_waiter(q, [&w](ProcId t) { w.push_back(t); });
   meter_.loads += state_.processes();  // scan request column entries
   meter_.branches += state_.processes();
-  std::stable_sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
-    return priority_[a] < priority_[b];  // smaller value = higher priority
+  // Smaller value = higher priority; ties keep ascending id. Sorting on
+  // (priority, id) gives std::stable_sort's order without its temporary
+  // buffer.
+  std::sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
+    return priority_[a] != priority_[b] ? priority_[a] < priority_[b] : a < b;
   });
   meter_.alu += 2 * w.size();  // sort compare/swap work
   meter_.loads += 2 * w.size();
@@ -59,7 +63,7 @@ RequestResult DaaEngine::request(ProcId p, ResId q) {
   if (own == rag::kNoProc) {
     meter_.loads += 1;
     meter_.branches += 1;
-    if (state_.waiters(q).empty()) {
+    if (!state_.row_has_request(q)) {
       // Line 3-4: available (free, nobody queued) -> grant immediately.
       state_.add_grant(q, p);
       meter_.stores += 1;
@@ -152,7 +156,7 @@ ReleaseResult DaaEngine::release(ProcId p, ResId q) {
   meter_.stores += 1;
 
   meter_.branches += 1;
-  if (state_.waiters(q).empty()) {
+  if (!state_.row_has_request(q)) {
     // Line 24: no waiters -> available.
     res.outcome = ReleaseOutcome::kIdle;
     return res;
@@ -164,7 +168,7 @@ ReleaseResult DaaEngine::retry_grant(ResId q) {
   meter_.reset();
   detect_calls_ = 0;
   ReleaseResult res;
-  if (state_.owner(q) != rag::kNoProc || state_.waiters(q).empty()) {
+  if (state_.owner(q) != rag::kNoProc || !state_.row_has_request(q)) {
     res.outcome = ReleaseOutcome::kError;
     return res;
   }
@@ -173,7 +177,7 @@ ReleaseResult DaaEngine::retry_grant(ResId q) {
 
 ReleaseResult DaaEngine::arbitrate(ResId q) {
   ReleaseResult res;
-  const std::vector<ProcId> waiting = waiters_by_priority(q);
+  const std::vector<ProcId>& waiting = waiters_by_priority(q);
 
   // Lines 17-22: try the highest-priority waiter first; on G-dl walk down
   // the priority order (line 19: "grant to a lower priority process").
@@ -209,19 +213,19 @@ ReleaseResult DaaEngine::arbitrate(ResId q) {
   const ProcId w0 = waiting.front();
   state_.clear(q, w0);
   state_.add_grant(q, w0);
-  const std::vector<ProcId> involved = rag::deadlocked_processes(state_);
+  const rag::PlaneReduction involved = rag::reduce_planes(state_, scratch_);
   state_.clear(q, w0);
   state_.add_request(w0, q);
   meter_.stores += 4;
 
   ProcId victim = rag::kNoProc;
-  for (ProcId cand : involved) {
+  rag::for_each_set_bit(involved.live_cols, [&](ProcId cand) {
     meter_.loads += 2;
     meter_.branches += 2;
-    if (state_.held_by(cand).empty()) continue;
+    if (!state_.col_has_grant(cand)) return;  // holds nothing
     if (victim == rag::kNoProc || priority_[cand] > priority_[victim])
       victim = cand;
-  }
+  });
   res.outcome = ReleaseOutcome::kLivelockResolved;
   if (victim != rag::kNoProc) {
     res.asked = victim;

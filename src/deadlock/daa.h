@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "deadlock/meter.h"
+#include "rag/reduce_planes.h"
 #include "rag/state_matrix.h"
 
 namespace delta::deadlock {
@@ -133,10 +134,15 @@ class DaaEngine {
   DaaPolicy policy_ = DaaPolicy::kAlgorithm3;
   OpMeter meter_;
   std::size_t detect_calls_ = 0;
+  // Hot-path scratch, sized at construction: grant arbitration's waiter
+  // list and the livelock breaker's reduction planes.
+  std::vector<rag::ProcId> waiting_;
+  rag::ReduceScratch scratch_;
 
   bool run_detect();
-  /// Waiters of q sorted by descending priority (ties: lower id first).
-  std::vector<rag::ProcId> waiters_by_priority(rag::ResId q);
+  /// Waiters of q sorted by descending priority (ties: lower id first),
+  /// in waiting_; valid until the next call.
+  const std::vector<rag::ProcId>& waiters_by_priority(rag::ResId q);
   /// Grant arbitration over a free resource with >= 1 waiter (Algorithm 3
   /// lines 17-22 + livelock breaker). Shared by release/request/retry.
   ReleaseResult arbitrate(rag::ResId q);

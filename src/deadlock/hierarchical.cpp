@@ -7,7 +7,6 @@
 
 namespace delta::deadlock {
 
-using rag::Edge;
 using rag::ProcId;
 using rag::ResId;
 
@@ -46,14 +45,21 @@ std::size_t ClusterMap::default_clusters(std::size_t resources) {
 HierarchicalDetector::HierarchicalDetector(ClusterMap map,
                                            SoftwareCostModel model)
     : map_(std::move(map)), pdda_(model) {
-  const std::size_t words = (map_.processes() + 63) / 64;
-  proc_mask_.assign(map_.clusters() * words, 0);
+  const std::size_t rwords = (map_.resources() + 63) / 64;
+  const std::size_t pwords = (map_.processes() + 63) / 64;
+  res_mask_.assign(map_.clusters() * rwords, 0);
+  proc_mask_.assign(map_.clusters() * pwords, 0);
   for (std::size_t c = 0; c < map_.clusters(); ++c) {
-    const std::size_t b = map_.process_begin(c);
-    const std::size_t e = b + map_.process_count(c);
-    for (std::size_t t = b; t < e; ++t)
-      proc_mask_[c * words + t / 64] |= std::uint64_t{1} << (t % 64);
+    const std::size_t rb = map_.resource_begin(c);
+    for (std::size_t s = rb; s < rb + map_.resource_count(c); ++s)
+      res_mask_[c * rwords + s / 64] |= std::uint64_t{1} << (s % 64);
+    const std::size_t pb = map_.process_begin(c);
+    for (std::size_t t = pb; t < pb + map_.process_count(c); ++t)
+      proc_mask_[c * pwords + t / 64] |= std::uint64_t{1} << (t % 64);
   }
+  comp_res_.resize(rwords);
+  comp_proc_.resize(pwords);
+  done_.resize(map_.clusters());
 }
 
 std::size_t HierarchicalDetector::find(std::size_t c) {
@@ -101,17 +107,12 @@ bool HierarchicalDetector::scan_remote(const rag::StateMatrix& full) {
 
 void HierarchicalDetector::run_local(const rag::StateMatrix& full,
                                      std::size_t c, HierOutcome& out) {
-  const std::size_t rb = map_.resource_begin(c);
-  const std::size_t rc = map_.resource_count(c);
-  const std::size_t pb = map_.process_begin(c);
-  const std::size_t pc = map_.process_count(c);
-  rag::StateMatrix sub(rc, pc);
-  for (std::size_t i = 0; i < rc; ++i)
-    for (std::size_t j = 0; j < pc; ++j) {
-      const Edge e = full.at(rb + i, pb + j);
-      if (e != Edge::kNone) sub.set(i, j, e);
-    }
-  const bool dl = pdda_.detect(sub);
+  // The cluster unit sees its own rows and columns: reduce that block in
+  // place on the full matrix.
+  const std::size_t rwords = comp_res_.size();
+  const std::size_t pwords = comp_proc_.size();
+  const bool dl = pdda_.detect(full, &res_mask_[c * rwords],
+                               &proc_mask_[c * pwords]);
   out.deadlock |= dl;
   out.local_units += 1;
   out.local_iterations = std::max(out.local_iterations,
@@ -126,33 +127,31 @@ void HierarchicalDetector::run_local(const rag::StateMatrix& full,
 
 void HierarchicalDetector::run_residue(const rag::StateMatrix& full,
                                        std::size_t k, HierOutcome& out) {
+  // The component's rows and columns. The component is closed (every
+  // edge incident to its rows/columns stays inside it), so the reduction
+  // residue over it matches the full matrix restricted to it.
   const std::size_t root = find(k);
-  std::vector<std::size_t> member;
-  for (std::size_t c = 0; c < map_.clusters(); ++c)
-    if (find(c) == root) member.push_back(c);
-
-  // Index remaps for the component submatrix. The component is closed
-  // (every edge incident to its rows/columns stays inside it), so the
-  // reduction residue over it matches the full matrix restricted to it.
-  std::vector<std::size_t> rows, cols;
-  for (const std::size_t c : member) {
-    for (std::size_t i = 0; i < map_.resource_count(c); ++i)
-      rows.push_back(map_.resource_begin(c) + i);
-    for (std::size_t j = 0; j < map_.process_count(c); ++j)
-      cols.push_back(map_.process_begin(c) + j);
+  const std::size_t rwords = comp_res_.size();
+  const std::size_t pwords = comp_proc_.size();
+  std::fill(comp_res_.begin(), comp_res_.end(), 0);
+  std::fill(comp_proc_.begin(), comp_proc_.end(), 0);
+  std::size_t members = 0, rows = 0, cols = 0;
+  for (std::size_t c = 0; c < map_.clusters(); ++c) {
+    if (find(c) != root) continue;
+    for (std::size_t w = 0; w < rwords; ++w)
+      comp_res_[w] |= res_mask_[c * rwords + w];
+    for (std::size_t w = 0; w < pwords; ++w)
+      comp_proc_[w] |= proc_mask_[c * pwords + w];
+    ++members;
+    rows += map_.resource_count(c);
+    cols += map_.process_count(c);
   }
-  rag::StateMatrix sub(rows.size(), cols.size());
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      const Edge e = full.at(rows[i], cols[j]);
-      if (e != Edge::kNone) sub.set(i, j, e);
-    }
 
-  out.deadlock |= pdda_.detect(sub);
+  out.deadlock |= pdda_.detect(full, comp_res_.data(), comp_proc_.data());
   out.escalated = true;
-  out.residue_clusters += member.size();
-  out.residue_resources += rows.size();
-  out.residue_processes += cols.size();
+  out.residue_clusters += members;
+  out.residue_resources += rows;
+  out.residue_processes += cols;
   // The residue runs in software on the invoking PE; multiple residues
   // (detect_all) execute serially, so the cost is a sum.
   out.residue_sw_cycles += pdda_.last_cycles();
@@ -175,11 +174,11 @@ HierOutcome HierarchicalDetector::detect_all(const rag::StateMatrix& full) {
   HierOutcome out;
   for (std::size_t c = 0; c < map_.clusters(); ++c) run_local(full, c, out);
   if (scan_remote(full)) {
-    std::vector<std::uint8_t> done(map_.clusters(), 0);
+    std::fill(done_.begin(), done_.end(), 0);
     for (std::size_t c = 0; c < map_.clusters(); ++c) {
       const std::size_t root = find(c);
-      if (incident_[c] == 0 || done[root] != 0) continue;
-      done[root] = 1;
+      if (incident_[c] == 0 || done_[root] != 0) continue;
+      done_[root] = 1;
       run_residue(full, root, out);
     }
   }

@@ -129,16 +129,22 @@ class HierarchicalDetector {
   // Scratch reused across calls (detection runs on every event).
   std::vector<std::size_t> uf_;          // union-find over clusters
   std::vector<std::uint8_t> incident_;   // cluster has a remote edge
+  std::vector<std::uint8_t> done_;       // detect_all: component visited
+  std::vector<std::uint64_t> res_mask_;  // per-cluster row masks
   std::vector<std::uint64_t> proc_mask_; // per-cluster column masks
+  std::vector<std::uint64_t> comp_res_;  // residue component row mask
+  std::vector<std::uint64_t> comp_proc_; // residue component column mask
 
   std::size_t find(std::size_t c);
   void unite(std::size_t a, std::size_t b);
   /// Scan remote edges: fills uf_/incident_. Returns true if any exist.
   bool scan_remote(const rag::StateMatrix& full);
-  /// Local unit evaluation for one cluster; merges into `out`.
+  /// Local unit evaluation for one cluster (its block of the full
+  /// matrix, reduced in place); merges into `out`.
   void run_local(const rag::StateMatrix& full, std::size_t c,
                  HierOutcome& out);
-  /// Software PDDA over the closed component containing cluster `k`.
+  /// Software PDDA over the closed component containing cluster `k`,
+  /// reduced in place on the full matrix.
   void run_residue(const rag::StateMatrix& full, std::size_t k,
                    HierOutcome& out);
 };

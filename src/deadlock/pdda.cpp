@@ -1,144 +1,64 @@
 #include "deadlock/pdda.h"
 
-#include <bit>
-#include <cstring>
-
 namespace delta::deadlock {
 
 // The OpMeter models the serial byte-matrix implementation a compact C
 // port on the MPC755 would use (one load + compares per cell, per
 // Algorithms 1/2), so its counts are defined by that reference code:
 // every count below is the exact aggregate of the per-cell increments
-// the straightforward implementation would make. The scans are
-// data-independent; only the round count and the terminal-row/column
-// clears vary, and those are reproduced exactly. The host-side work,
-// by contrast, runs word-parallel on the request/grant bit-planes
-// (detection executes on every request/release, so it is the hottest
-// code in the all-software presets) and never allocates: the scratch
-// planes are members reused across calls.
-bool SoftwarePdda::detect(const rag::StateMatrix& state) {
+// the straightforward implementation would make on the m x n
+// (sub)matrix. The scans are data-independent; only the round count,
+// the terminal-row/column clears and the final scan's stopping cell
+// vary, and the shared reduction reports each of them exactly.
+bool SoftwarePdda::detect(const rag::StateMatrix& state,
+                          const std::uint64_t* row_mask,
+                          const std::uint64_t* col_mask) {
+  const rag::PlaneReduction r =
+      rag::reduce_planes(state, scratch_, row_mask, col_mask);
+  iterations_ = r.iterations;
+
+  const std::uint64_t m = r.rows;
+  const std::uint64_t n = r.cols;
+  const std::uint64_t mn = m * n;
+  // Algorithm 1 evaluates the terminal sets once per reducing iteration
+  // plus the final evaluation that finds none (line 7).
+  const std::uint64_t passes = r.iterations + 1;
+  std::uint64_t cleared_rows = 0, cleared_cols = 0;
+  for (const std::uint32_t k : r.terminal_rows) cleared_rows += k;
+  for (const std::uint32_t k : r.terminal_cols) cleared_cols += k;
+  // Cells of every terminal row / column the clears walk.
+  const std::uint64_t cleared_cells = n * cleared_rows + m * cleared_cols;
+  // Lines 8-12 of Algorithm 2: the serial scan stops at the first
+  // surviving edge (row-major), or visits every cell.
+  const std::uint64_t visited = r.deadlock() ? r.first_edge : mn;
+
   meter_.reset();
-  iterations_ = 0;
-
-  const std::size_t m = state.resources();
-  const std::size_t n = state.processes();
-  const std::size_t w = state.words_per_row();
-
-  // Lines 2-6 of Algorithm 2: build the working matrix from the RAG.
-  // Modelled cost per cell: one load, one store, index arithmetic, and
-  // the loop test. Host cost: two plane memcpys (rows are contiguous).
-  wreq_.resize(m * w);
-  wgnt_.resize(m * w);
-  if (m != 0 && w != 0) {
-    std::memcpy(wreq_.data(), state.row_request_bits(0), m * w * 8);
-    std::memcpy(wgnt_.data(), state.row_grant_bits(0), m * w * 8);
-  }
-  meter_.loads += m * n;
-  meter_.stores += m * n;
-  meter_.alu += 2 * m * n;
-  meter_.branches += m * n;
-
-  // Algorithm 1: terminal reduction sequence, serial version.
-  row_term_.resize(m);
-  col_term_words_.resize(w);
-  while (true) {
-    bool any_terminal = false;
-
-    // Line 5: terminal rows — a row is terminal iff it has requests or
-    // grants but not both (Eq. 4). Reference cost per cell: one load,
-    // two compares plus indexing, one loop test; per row: the XOR, its
-    // store, and the terminal accumulation.
-    for (std::size_t s = 0; s < m; ++s) {
-      bool has_r = false, has_g = false;
-      for (std::size_t k = 0; k < w; ++k) {
-        has_r |= wreq_[s * w + k] != 0;
-        has_g |= wgnt_[s * w + k] != 0;
-      }
-      row_term_[s] = static_cast<std::uint8_t>(has_r != has_g);
-      any_terminal |= (row_term_[s] != 0);
-    }
-    meter_.loads += m * n;
-    meter_.alu += 3 * m * n + 2 * m;
-    meter_.branches += m * n + m;
-    meter_.stores += m;
-
-    // Line 6: terminal columns. Column t has a request iff bit t of the
-    // OR of all request rows is set (same for grants), so the per-bit
-    // "has_r != has_g" of Eq. 4 is one XOR of the two column ORs.
-    std::size_t term_cols = 0;
-    for (std::size_t k = 0; k < w; ++k) {
-      std::uint64_t or_req = 0, or_gnt = 0;
-      for (std::size_t s = 0; s < m; ++s) {
-        or_req |= wreq_[s * w + k];
-        or_gnt |= wgnt_[s * w + k];
-      }
-      col_term_words_[k] = or_req ^ or_gnt;
-      term_cols += static_cast<std::size_t>(
-          std::popcount(col_term_words_[k]));
-      any_terminal |= (col_term_words_[k] != 0);
-    }
-    meter_.loads += m * n;
-    meter_.alu += 3 * m * n + 2 * n;
-    meter_.branches += m * n + n;
-    meter_.stores += n;
-
-    // Line 7: no more terminals -> irreducible.
-    meter_.branches += 1;
-    if (!any_terminal) break;
-    ++iterations_;
-
-    // Lines 8-9: remove all terminal edges. Reference cost: per
-    // row/column the terminal-flag load and test; per cell of a
-    // terminal row/column the store, indexing, and loop test.
-    std::size_t term_rows = 0;
-    for (std::size_t s = 0; s < m; ++s) {
-      if (!row_term_[s]) continue;
-      ++term_rows;
-      for (std::size_t k = 0; k < w; ++k) {
-        wreq_[s * w + k] = 0;
-        wgnt_[s * w + k] = 0;
-      }
-    }
-    meter_.loads += m;
-    meter_.branches += m + n * term_rows;
-    meter_.stores += n * term_rows;
-    meter_.alu += n * term_rows;
-
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t keep = ~col_term_words_[k];
-      if (keep == ~std::uint64_t{0}) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        wreq_[s * w + k] &= keep;
-        wgnt_[s * w + k] &= keep;
-      }
-    }
-    meter_.loads += n;
-    meter_.branches += n + m * term_cols;
-    meter_.stores += m * term_cols;
-    meter_.alu += m * term_cols;
-  }
-
-  // Lines 8-12 of Algorithm 2: deadlock iff edges remain. The reference
-  // serial scan stops at the first surviving edge (row-major), so the
-  // metered count is the number of cells it would visit.
-  bool edges_remain = false;
-  std::size_t visited = m * n;
-  for (std::size_t s = 0; s < m && !edges_remain; ++s) {
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t word = wreq_[s * w + k] | wgnt_[s * w + k];
-      if (word != 0) {
-        const std::size_t t =
-            k * 64 + static_cast<std::size_t>(std::countr_zero(word));
-        visited = s * n + t + 1;
-        edges_remain = true;
-        break;
-      }
-    }
-  }
+  // Lines 2-6 of Algorithm 2, building the working matrix: per cell one
+  // load, one store, index arithmetic and the loop test.
+  meter_.loads += mn;
+  meter_.stores += mn;
+  meter_.alu += 2 * mn;
+  meter_.branches += mn;
+  // Per pass, lines 5-7 of Algorithm 1. Terminal rows: per cell one
+  // load, two compares plus indexing and the loop test; per row the XOR,
+  // its store and the terminal accumulation. Terminal columns likewise,
+  // per column. Then the line 7 test.
+  meter_.loads += passes * 2 * mn;
+  meter_.alu += passes * (6 * mn + 2 * m + 2 * n);
+  meter_.branches += passes * (2 * mn + m + n + 1);
+  meter_.stores += passes * (m + n);
+  // Per reducing iteration, lines 8-9: per row/column the terminal-flag
+  // load and test; per cell of a terminal row/column the store, indexing
+  // and loop test.
+  meter_.loads += r.iterations * (m + n);
+  meter_.branches += r.iterations * (m + n) + cleared_cells;
+  meter_.stores += cleared_cells;
+  meter_.alu += cleared_cells;
+  // The final edge scan.
   meter_.loads += visited;
   meter_.alu += visited;
   meter_.branches += visited;
-  return edges_remain;
+  return r.deadlock();
 }
 
 }  // namespace delta::deadlock

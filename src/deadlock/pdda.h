@@ -5,13 +5,14 @@
 // software the terminal-row/column scans execute serially, which is
 // exactly why the paper's RTOS1 configuration is slow (Table 5) and what
 // the DDU (src/hw/ddu.h) accelerates. Every operation the serial code
-// would perform is counted in an OpMeter for cycle accounting.
+// would perform is counted in an OpMeter for cycle accounting; the host
+// runs the shared word-parallel reduction (rag/reduce_planes.h).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "deadlock/meter.h"
+#include "rag/reduce_planes.h"
 #include "rag/state_matrix.h"
 
 namespace delta::deadlock {
@@ -22,7 +23,15 @@ class SoftwarePdda {
   explicit SoftwarePdda(SoftwareCostModel model = {}) : model_(model) {}
 
   /// Run Algorithm 2 on `state`. Returns true iff deadlock exists.
-  bool detect(const rag::StateMatrix& state);
+  bool detect(const rag::StateMatrix& state) {
+    return detect(state, nullptr, nullptr);
+  }
+
+  /// Run Algorithm 2 on the submatrix of `state` selected by `row_mask`
+  /// (words over resources) and `col_mask` (words over processes), as if
+  /// it had been extracted first; null selects every row / column.
+  bool detect(const rag::StateMatrix& state, const std::uint64_t* row_mask,
+              const std::uint64_t* col_mask);
 
   /// Counters/cost of the most recent detect() call.
   [[nodiscard]] const OpMeter& last_meter() const { return meter_; }
@@ -39,14 +48,9 @@ class SoftwarePdda {
   SoftwareCostModel model_;
   OpMeter meter_;
   std::size_t iterations_ = 0;
-  // Scratch for detect(), kept across calls so the hot path (detection
-  // runs on every request/release) never allocates. The working matrix
-  // is two bit-planes (request/grant), row-major, mirroring
-  // StateMatrix's own storage.
-  std::vector<std::uint64_t> wreq_;
-  std::vector<std::uint64_t> wgnt_;
-  std::vector<std::uint8_t> row_term_;
-  std::vector<std::uint64_t> col_term_words_;
+  // Reused across calls: detection runs on every request/release, so
+  // the hot path never allocates.
+  rag::ReduceScratch scratch_;
 };
 
 }  // namespace delta::deadlock

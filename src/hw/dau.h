@@ -114,6 +114,7 @@ class Dau {
   sim::Cycles probe_cycles_ = 0;  // accumulated DDU time per event
   std::size_t last_probes_ = 0;
   std::vector<rag::ResId> asked_resources_;
+  rag::ReduceScratch scratch_;  // the embedded DDU's working planes
   bool grant_fault_ = false;
   obs::Counter* ctr_commands_ = nullptr;
   obs::Counter* ctr_probes_ = nullptr;

@@ -9,14 +9,17 @@
 // cannot reach.
 //
 // The model is cycle-faithful, not gate-faithful: each iteration costs one
-// bus-clock cycle; the combinational equations are evaluated with
-// word-parallel bit operations and are property-checked equivalent to the
-// reference reduction (tests/hw/ddu_test.cpp).
+// bus-clock cycle. Each iteration's weight cells are evaluated at once,
+// as word-parallel operations on the request/grant bit-planes, by the
+// reduction every deadlock consumer shares (rag/reduce_planes.h); tests
+// check it against the cell-by-cell reference reduction
+// (tests/hw/ddu_test.cpp, tests/rag/reduce_planes_test.cpp).
 #pragma once
 
 #include <cstdint>
 
 #include "obs/metrics.h"
+#include "rag/reduce_planes.h"
 #include "rag/state_matrix.h"
 #include "sim/sim_time.h"
 
@@ -51,13 +54,19 @@ class Ddu {
   /// Current cell contents.
   [[nodiscard]] const rag::StateMatrix& matrix() const { return cells_; }
 
-  /// Start the unit: runs the reduction on a working copy of the cells
-  /// (the architectural matrix is preserved, as in the real unit where the
+  /// Start the unit: runs the reduction on working planes (the
+  /// architectural matrix is preserved, as in the real unit where the
   /// weight-cell pipeline operates on shadow latches).
-  DduResult run() const;
+  DduResult run();
 
-  /// Convenience: run on an arbitrary state without loading it.
+  /// Run on an arbitrary state without loading it. `scratch` holds the
+  /// working planes; callers on hot paths keep one to avoid allocating.
+  static DduResult evaluate(const rag::StateMatrix& state,
+                            rag::ReduceScratch& scratch);
   static DduResult evaluate(const rag::StateMatrix& state);
+
+  /// The DduResult of a finished reduction (shared with trace_ddu).
+  static DduResult result_of(const rag::PlaneReduction& r);
 
   /// Proven upper bound on iterations: 2*min(m,n) - 3 (paper §4.2.1).
   [[nodiscard]] std::size_t iteration_bound() const;
@@ -68,6 +77,7 @@ class Ddu {
 
  private:
   rag::StateMatrix cells_;
+  rag::ReduceScratch scratch_;
   obs::Counter* ctr_runs_ = nullptr;
   obs::Counter* ctr_iterations_ = nullptr;
 };

@@ -1,84 +1,61 @@
 #include "hw/ddu_trace.h"
 
 #include <stdexcept>
-#include <vector>
 
 namespace delta::hw {
+
+namespace {
+
+/// Records one VCD sample per weight-cell evaluation, the final one
+/// (T_iter == 0, decide latched) included. Members are declared in the
+/// order the wires are added to the dump.
+class DduSampler final : public rag::ReduceObserver {
+ public:
+  DduSampler(VcdWriter& vcd, std::size_t m, std::size_t n)
+      : vcd_(vcd),
+        clk_(vcd.add_wire("clk", 1)),
+        titer_(vcd.add_wire("t_iter", 1)),
+        deadlock_(vcd.add_wire("deadlock", 1)),
+        tau_row_(vcd.add_wire("tau_row", static_cast<unsigned>(m))),
+        tau_col_(vcd.add_wire("tau_col", static_cast<unsigned>(n))),
+        phi_row_(vcd.add_wire("phi_row", static_cast<unsigned>(m))),
+        phi_col_(vcd.add_wire("phi_col", static_cast<unsigned>(n))),
+        edges_(vcd.add_wire("edge_count", 16)) {}
+
+  void on_step(const rag::ReduceStep& s) override {
+    vcd_.change(t_, clk_, t_ % 2 == 0);
+    vcd_.change(t_, tau_row_, s.tau_rows[0]);
+    vcd_.change(t_, tau_col_, s.tau_cols[0]);
+    vcd_.change(t_, phi_row_, s.phi_rows[0]);
+    vcd_.change(t_, phi_col_, s.phi_cols[0]);
+    vcd_.change(t_, titer_, s.reducing);
+    vcd_.change(t_, edges_, s.edges);
+    if (s.reducing) {
+      ++t_;
+      return;
+    }
+    // Eq. 7: the decide output is the OR of the connect flags.
+    vcd_.change(t_, deadlock_, s.phi_rows[0] != 0 || s.phi_cols[0] != 0);
+  }
+
+ private:
+  VcdWriter& vcd_;
+  VcdVar clk_, titer_, deadlock_, tau_row_, tau_col_, phi_row_, phi_col_,
+      edges_;
+  sim::Cycles t_ = 0;
+};
+
+}  // namespace
 
 DduResult trace_ddu(const rag::StateMatrix& state, VcdWriter& vcd) {
   const std::size_t m = state.resources();
   const std::size_t n = state.processes();
   if (m > 64 || n > 64)
     throw std::invalid_argument("trace_ddu: geometry exceeds 64x64");
-
-  const VcdVar v_clk = vcd.add_wire("clk", 1);
-  const VcdVar v_titer = vcd.add_wire("t_iter", 1);
-  const VcdVar v_deadlock = vcd.add_wire("deadlock", 1);
-  const VcdVar v_tau_row =
-      vcd.add_wire("tau_row", static_cast<unsigned>(m));
-  const VcdVar v_tau_col =
-      vcd.add_wire("tau_col", static_cast<unsigned>(n));
-  const VcdVar v_phi_row =
-      vcd.add_wire("phi_row", static_cast<unsigned>(m));
-  const VcdVar v_phi_col =
-      vcd.add_wire("phi_col", static_cast<unsigned>(n));
-  const VcdVar v_edges = vcd.add_wire("edge_count", 16);
-
-  rag::StateMatrix work = state;
-  DduResult result;
-  sim::Cycles t = 0;
-
-  while (true) {
-    std::uint64_t tau_row = 0, tau_col = 0, phi_row = 0, phi_col = 0;
-    bool t_iter = false, any_phi = false;
-    for (rag::ResId s = 0; s < m; ++s) {
-      const bool r = work.row_has_request(s);
-      const bool g = work.row_has_grant(s);
-      if (r != g) {
-        tau_row |= 1ULL << s;
-        t_iter = true;
-      }
-      if (r && g) {
-        phi_row |= 1ULL << s;
-        any_phi = true;
-      }
-    }
-    for (rag::ProcId c = 0; c < n; ++c) {
-      const bool r = work.col_has_request(c);
-      const bool g = work.col_has_grant(c);
-      if (r != g) {
-        tau_col |= 1ULL << c;
-        t_iter = true;
-      }
-      if (r && g) {
-        phi_col |= 1ULL << c;
-        any_phi = true;
-      }
-    }
-
-    vcd.change(t, v_clk, t % 2 == 0);
-    vcd.change(t, v_tau_row, tau_row);
-    vcd.change(t, v_tau_col, tau_col);
-    vcd.change(t, v_phi_row, phi_row);
-    vcd.change(t, v_phi_col, phi_col);
-    vcd.change(t, v_titer, t_iter);
-    vcd.change(t, v_edges, work.edge_count());
-
-    if (!t_iter) {
-      result.deadlock = any_phi;
-      vcd.change(t, v_deadlock, any_phi);
-      break;
-    }
-    for (rag::ResId s = 0; s < m; ++s)
-      if (tau_row & (1ULL << s)) work.clear_row(s);
-    for (rag::ProcId c = 0; c < n; ++c)
-      if (tau_col & (1ULL << c)) work.clear_col(c);
-    ++result.iterations;
-    ++t;
-  }
-
-  result.cycles = std::max<std::size_t>(result.iterations, 1);
-  return result;
+  DduSampler sampler(vcd, m, n);
+  rag::ReduceScratch scratch;
+  return Ddu::result_of(
+      rag::reduce_planes(state, scratch, nullptr, nullptr, &sampler));
 }
 
 }  // namespace delta::hw

@@ -1,9 +1,8 @@
 #include "rag/dot.h"
 
-#include <algorithm>
 #include <sstream>
 
-#include "rag/reduction.h"
+#include "rag/reduce_planes.h"
 
 namespace delta::rag {
 
@@ -20,17 +19,19 @@ std::string to_dot(const StateMatrix& m,
                                      : "q" + std::to_string(s + 1);
   };
 
-  std::vector<ProcId> dl_procs;
-  std::vector<ResId> dl_ress;
-  if (highlight_deadlock && has_deadlock(m)) {
-    dl_procs = deadlocked_processes(m);
-    dl_ress = deadlocked_resources(m);
-  }
+  // Deadlocked nodes survive the terminal reduction with an edge.
+  ReduceScratch scratch;
+  const PlaneReduction r = reduce_planes(m, scratch);
+  const bool hot = highlight_deadlock && r.deadlock();
+  const auto has_bit = [](std::span<const std::uint64_t> words,
+                          std::size_t i) {
+    return ((words[i / 64] >> (i % 64)) & 1) != 0;
+  };
   const auto proc_hot = [&](ProcId t) {
-    return std::find(dl_procs.begin(), dl_procs.end(), t) != dl_procs.end();
+    return hot && has_bit(r.live_cols, t);
   };
   const auto res_hot = [&](ResId s) {
-    return std::find(dl_ress.begin(), dl_ress.end(), s) != dl_ress.end();
+    return hot && has_bit(r.live_rows, s);
   };
 
   std::ostringstream os;

@@ -1,8 +1,10 @@
 // Terminal reduction machinery (Definitions 7-13 and Algorithm 1).
 //
-// This is the *reference* (functional) implementation used by tests and by
-// the hardware model for cross-checking. The instrumented software PDDA
-// (with per-operation cycle accounting) lives in src/deadlock/pdda.h.
+// This is the *reference* (functional) implementation: a cell-by-cell
+// transcription of the definitions, kept as the independent oracle for
+// tests and for the differential harness's justification check.
+// Production code runs the shared word-parallel reduction
+// (rag/reduce_planes.h), which tests compare against this one.
 #pragma once
 
 #include <cstddef>

@@ -127,16 +127,6 @@ std::vector<ProcId> StateMatrix::waiters(ResId s) const {
   return out;
 }
 
-const std::uint64_t* StateMatrix::row_request_bits(ResId s) const {
-  assert(s < m_);
-  return req_.data() + s * words_;
-}
-
-const std::uint64_t* StateMatrix::row_grant_bits(ResId s) const {
-  assert(s < m_);
-  return gnt_.data() + s * words_;
-}
-
 std::string StateMatrix::to_string() const {
   std::ostringstream os;
   os << "      ";

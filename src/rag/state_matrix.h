@@ -8,14 +8,25 @@
 // with word-parallel operations.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rag/types.h"
 
 namespace delta::rag {
+
+/// Calls f(i) for every set bit i of a little-endian word mask, ascending.
+template <class F>
+void for_each_set_bit(std::span<const std::uint64_t> words, F&& f) {
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::uint64_t b = words[w]; b != 0; b &= b - 1)
+      f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+}
 
 /// m x n ternary matrix with word-parallel row/column aggregates.
 class StateMatrix {
@@ -69,6 +80,13 @@ class StateMatrix {
   /// All processes waiting on resource s.
   [[nodiscard]] std::vector<ProcId> waiters(ResId s) const;
 
+  /// Calls f(t) for every process waiting on resource s, ascending,
+  /// without materialising the list (hot grant paths).
+  template <class F>
+  void for_each_waiter(ResId s, F&& f) const {
+    for_each_set_bit({row_request_bits(s), words_}, f);
+  }
+
   bool operator==(const StateMatrix& o) const = default;
 
   /// ASCII form mirroring Fig. 11: rows q1..qm, columns p1..pn.
@@ -76,8 +94,14 @@ class StateMatrix {
 
   /// Raw 64-bit words of the request/grant planes for row s. The DDU model
   /// uses these to evaluate Eq. 3 word-parallel. Bits >= n are zero.
-  [[nodiscard]] const std::uint64_t* row_request_bits(ResId s) const;
-  [[nodiscard]] const std::uint64_t* row_grant_bits(ResId s) const;
+  [[nodiscard]] const std::uint64_t* row_request_bits(ResId s) const {
+    assert(s < m_);
+    return req_.data() + s * words_;
+  }
+  [[nodiscard]] const std::uint64_t* row_grant_bits(ResId s) const {
+    assert(s < m_);
+    return gnt_.data() + s * words_;
+  }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
 
  private:

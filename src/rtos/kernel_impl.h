@@ -14,7 +14,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "rag/reduction.h"
+#include "rag/reduce_planes.h"
 #include "rtos/kernel.h"
 
 namespace delta::rtos {
@@ -1005,14 +1005,16 @@ template <class ObserverPolicy>
 TaskId BasicKernel<ObserverPolicy>::pick_recovery_victim() const {
   const rag::StateMatrix* st = strategy_->state();
   if (st == nullptr) return kNoTask;
-  const std::vector<rag::ProcId> involved = rag::deadlocked_processes(*st);
+  // Recovery is rare, so the reduction's scratch is local.
+  rag::ReduceScratch scratch;
+  const rag::PlaneReduction involved = rag::reduce_planes(*st, scratch);
   TaskId victim = kNoTask;
-  for (rag::ProcId p : involved) {
-    if (p >= tasks_.size()) continue;
+  rag::for_each_set_bit(involved.live_cols, [&](rag::ProcId p) {
+    if (p >= tasks_.size()) return;
     const Task& cand = task(p);
     if (victim == kNoTask) {
       victim = p;
-      continue;
+      return;
     }
     const Task& best = task(victim);
     bool worse = false;
@@ -1043,7 +1045,7 @@ TaskId BasicKernel<ObserverPolicy>::pick_recovery_victim() const {
       }
     }
     if (worse) victim = p;
-  }
+  });
   return victim;
 }
 

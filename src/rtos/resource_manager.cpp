@@ -8,7 +8,6 @@
 #include "deadlock/wfg.h"
 #include "hw/sharded_dau.h"
 #include "hw/sharded_ddu.h"
-#include "rag/reduction.h"
 
 namespace delta::rtos {
 
@@ -60,7 +59,7 @@ class GrantingManagerBase : public DeadlockStrategy {
     ev.pe_cycles = costs_.resource_service;
     changed_.clear();
     if (state_.at(res, who) != Edge::kNone) return ev;  // malformed
-    if (state_.owner(res) == rag::kNoProc && state_.waiters(res).empty()) {
+    if (state_.owner(res) == rag::kNoProc && !state_.row_has_request(res)) {
       set_cell(res, who, Edge::kGrant);
       ev.granted = true;
     } else {
@@ -76,13 +75,13 @@ class GrantingManagerBase : public DeadlockStrategy {
     changed_.clear();
     if (state_.at(res, who) != Edge::kGrant) return ev;  // malformed
     set_cell(res, who, Edge::kNone);
-    // Unconditional hand-off to the highest-priority waiter.
-    const std::vector<rag::ProcId> waiters = state_.waiters(res);
-    if (!waiters.empty()) {
-      const rag::ProcId next = *std::min_element(
-          waiters.begin(), waiters.end(), [this](rag::ProcId a, rag::ProcId b) {
-            return prio_[a] < prio_[b];
-          });
+    // Unconditional hand-off to the highest-priority waiter (ties: the
+    // lowest task id).
+    rag::ProcId next = rag::kNoProc;
+    state_.for_each_waiter(res, [&](rag::ProcId t) {
+      if (next == rag::kNoProc || prio_[t] < prio_[next]) next = t;
+    });
+    if (next != rag::kNoProc) {
       set_cell(res, next, Edge::kGrant);
       ev.grants.emplace_back(static_cast<TaskId>(next), res);
     }

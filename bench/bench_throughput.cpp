@@ -20,7 +20,6 @@
 //
 //   bench_throughput --out BENCH_throughput.json
 //   bench_throughput --presets 4,5 --min-seconds 1.0
-//   bench_throughput --no-observer     # FastMpsoc, observer compiled out
 #include <ctime>
 
 #include <chrono>
@@ -74,9 +73,6 @@ int usage(const char* argv0) {
       "  --min-seconds S   measure each preset for at least S wall seconds\n"
       "                    (default 0.5)\n"
       "  --min-runs N      and for at least N runs (default 3)\n"
-      "  --no-observer     run the observer-free FastMpsoc build of the\n"
-      "                    stress scenario (kernel observability sites\n"
-      "                    compiled out); only --workload stress\n"
       "  --engine-stats    one extra, untimed instrumented run per preset;\n"
       "                    adds an \"engine\" block (queue/kernel counters\n"
       "                    and the run's host cost) to each preset's JSON\n"
@@ -92,8 +88,7 @@ int usage(const char* argv0) {
 /// memory backends, the deadlock strategy and the bus — the same hot
 /// path sweeps pay — and the activation count scales linearly with
 /// `limit`.
-template <class Soc>
-void build_stress(Soc& soc, sim::Rng& rng, sim::Cycles limit) {
+void build_stress(soc::Mpsoc& soc, sim::Rng& rng, sim::Cycles limit) {
   auto& k = soc.kernel();
   const rtos::ResourceId idct = soc.resource("IDCT");
   const rtos::ResourceId dsp = soc.resource("DSP");
@@ -158,29 +153,6 @@ std::uint64_t one_run(const exp::Workload& w, const soc::DeltaConfig& cfg,
   return soc.simulator().events_dispatched();
 }
 
-/// The --no-observer variant: same stress scenario on soc::FastMpsoc,
-/// whose kernel is compiled with every observability site discarded
-/// (rtos/observer_policy.h). The simulation itself is byte-identical to
-/// the observing run — only host-side instrumentation work differs, so
-/// the delta between the two JSONs *is* the residual observer cost.
-std::uint64_t one_run_fast(const soc::DeltaConfig& cfg, std::uint64_t seed,
-                           sim::Cycles limit, std::uint64_t* sim_cycles,
-                           soc::EngineReport* engine = nullptr) {
-  soc::MpsocConfig mc = cfg.to_mpsoc_config();
-  apply_bench_flags(mc);
-  // Queue stats are runtime-gated, so they work even here; the kernel
-  // counters are compiled out with the rest of the observer sites and
-  // stay zero.
-  mc.engine_stats = engine != nullptr;
-
-  soc::FastMpsoc soc(mc);
-  sim::Rng rng(seed);
-  build_stress(soc, rng, limit);
-  *sim_cycles += soc.run(limit);
-  if (engine != nullptr) *engine = soc.engine_report();
-  return soc.simulator().events_dispatched();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,7 +162,6 @@ int main(int argc, char** argv) {
   sim::Cycles limit = 10'000'000;
   double min_seconds = 0.5;
   std::uint64_t min_runs = 3;
-  bool no_observer = false;
   bool engine_stats = false;
   std::string out_path = "-";
 
@@ -209,17 +180,9 @@ int main(int argc, char** argv) {
     else if (arg == "--limit") limit = std::strtoull(next(), nullptr, 10);
     else if (arg == "--min-seconds") min_seconds = std::atof(next());
     else if (arg == "--min-runs") min_runs = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--no-observer") no_observer = true;
     else if (arg == "--engine-stats") engine_stats = true;
     else if (arg == "--out") out_path = next();
     else return usage(argv[0]);
-  }
-
-  if (no_observer && workload != "stress") {
-    std::fprintf(stderr,
-                 "--no-observer supports only the stress workload (exp "
-                 "workloads bind the observing Mpsoc)\n");
-    return 2;
   }
 
   std::vector<soc::RtosPreset> rows;
@@ -250,22 +213,18 @@ int main(int argc, char** argv) {
     PresetResult r;
     r.name = soc::to_string(p);
 
-    const auto measure = [&](std::uint64_t* run_cycles) {
-      return no_observer ? one_run_fast(cfg, seed, limit, run_cycles)
-                         : one_run(w, cfg, seed, limit, run_cycles);
-    };
-
     // Warm-up run (page-faults the slabs, primes branch predictors);
     // not counted.
     {
       std::uint64_t scratch = 0;
-      (void)measure(&scratch);
+      (void)one_run(w, cfg, seed, limit, &scratch);
     }
 
     for (;;) {
       const double t0 = cpu_now();
       std::uint64_t run_cycles = 0;
-      const std::uint64_t run_events = measure(&run_cycles);
+      const std::uint64_t run_events =
+          one_run(w, cfg, seed, limit, &run_cycles);
       const double dt = cpu_now() - t0;
       r.events += run_events;
       r.sim_cycles += run_cycles;
@@ -283,10 +242,7 @@ int main(int argc, char** argv) {
       // attributes where those events actually went.
       const double t0 = cpu_now();
       std::uint64_t scratch = 0;
-      if (no_observer)
-        (void)one_run_fast(cfg, seed, limit, &scratch, &r.engine);
-      else
-        (void)one_run(w, cfg, seed, limit, &scratch, &r.engine);
+      (void)one_run(w, cfg, seed, limit, &scratch, &r.engine);
       r.engine_cpu_seconds = cpu_now() - t0;
     }
     std::fprintf(stderr,
@@ -308,7 +264,6 @@ int main(int argc, char** argv) {
   jw.key("seed").value(seed);
   jw.key("limit").value(static_cast<std::uint64_t>(limit));
   jw.key("clock").value("process_cpu_best_run");
-  jw.key("observer").value(!no_observer);
   jw.key("presets").begin_object();
   for (const PresetResult& r : results) {
     jw.key(r.name).begin_object();

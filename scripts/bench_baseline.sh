@@ -18,10 +18,8 @@
 # With `--throughput` the same modes operate on the host-throughput
 # baseline bench/BENCH_throughput.json produced by bench_throughput
 # (events/sec and simulated-cycles/sec per preset, tracing off).
-# `--throughput write` additionally records the observer-free build
-# (bench_throughput --no-observer) in
-# bench/BENCH_throughput_no_observer.json and rolls both up into the
-# root-level BENCH_summary.json (geomean + per-preset events/sec).
+# `--throughput write` additionally rolls it up into the root-level
+# BENCH_summary.json (geomean + per-preset events/sec).
 # Host wall-clock is noisy, so the throughput compare only fails on a
 # *drop* beyond the tolerance (default 25%) — it is a regression tripwire,
 # not an exact pin like the cycle-count baseline.
@@ -88,7 +86,6 @@ fi
 if [[ "$THROUGHPUT" == 1 ]]; then
   TOL="${3:-25}"
   BASELINE=bench/BENCH_throughput.json
-  NOOBS_BASELINE=bench/BENCH_throughput_no_observer.json
   ENGINE_BASELINE=bench/BENCH_engine_stats.json
   SUMMARY=BENCH_summary.json
   BENCH="$BUILD/bench/bench_throughput"
@@ -124,8 +121,8 @@ EOF
     "$BENCH" --min-seconds 0.5 --min-runs 2 --out "$1"
   }
 
-  # Roll the two per-preset baselines up into the root-level summary:
-  # geomean events/sec per variant plus the per-preset rates, so a reader
+  # Roll the per-preset baseline up into the root-level summary: geomean
+  # events/sec plus the per-preset rates, so a reader
   # (or CI artifact diff) gets the headline number without parsing the
   # full baselines. The "host" stamp records what produced the numbers —
   # throughput figures are meaningless without the compiler, flags and
@@ -156,7 +153,7 @@ EOF
     HOST_COMPILER="$compiler" HOST_COMPILER_VERSION="$compiler_version" \
     HOST_FLAGS="$flags" HOST_BUILD_TYPE="$build_type" HOST_CORES="$cores" \
     HOST_COMMIT="$commit" HOST_DIRTY="$dirty" \
-    python3 - "$BASELINE" "$NOOBS_BASELINE" "$SUMMARY" <<'EOF'
+    python3 - "$BASELINE" "$SUMMARY" <<'EOF'
 import json, math, os, sys
 
 def load(path):
@@ -167,7 +164,7 @@ def load(path):
     return {"geomean_events_per_sec": int(geo), "presets": presets}
 
 summary = {
-    "schema": "delta.bench.summary.v2",
+    "schema": "delta.bench.summary.v3",
     "clock": "process_cpu_best_run",
     "host": {
         "compiler": os.environ.get("HOST_COMPILER", ""),
@@ -179,12 +176,11 @@ summary = {
         "dirty": os.environ.get("HOST_DIRTY", "false") == "true",
     },
     "observer": load(sys.argv[1]),
-    "no_observer": load(sys.argv[2]),
 }
-with open(sys.argv[3], "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(summary, f, indent=2, sort_keys=False)
     f.write("\n")
-print(f"summary written to {sys.argv[3]}")
+print(f"summary written to {sys.argv[2]}")
 EOF
   }
 
@@ -193,9 +189,6 @@ EOF
       mkdir -p bench
       run_throughput "$BASELINE"
       echo "throughput baseline written to $BASELINE"
-      "$BENCH" --min-seconds 0.5 --min-runs 2 --no-observer \
-        --out "$NOOBS_BASELINE"
-      echo "no-observer baseline written to $NOOBS_BASELINE"
       ENGINE_TMP="$(mktemp)"
       "$BENCH" --min-seconds 0 --min-runs 1 --engine-stats \
         --out "$ENGINE_TMP"

@@ -21,6 +21,16 @@ const char* step_kind_name(Step::Kind k) {
 std::vector<std::string> Scenario::validate() const {
   std::vector<std::string> errors;
   auto err = [&](const std::string& m) { errors.push_back(m); };
+  const auto bound = [&](const char* field, std::size_t n) {
+    if (n > rtos::kMaxGeometry)
+      err(std::string(field) + " " + std::to_string(n) +
+          " exceeds the geometry bound of " +
+          std::to_string(rtos::kMaxGeometry));
+  };
+  bound("pe_count", pe_count);
+  bound("resource_count", resource_count);
+  bound("lock_count", lock_count);
+  bound("task count", tasks.size());
   if (pe_count == 0) err("pe_count is zero");
   if (resource_count == 0) err("resource_count is zero");
   if (tasks.empty()) err("no tasks");

@@ -73,7 +73,8 @@ struct Scenario {
 
   bool operator==(const Scenario&) const = default;
 
-  /// Structural well-formedness: ids in range, matched
+  /// Structural well-formedness: geometry within rtos::kMaxGeometry,
+  /// ids in range, matched
   /// request/release, lock/unlock and alloc/free pairs, no task
   /// requesting a resource it already holds. Empty vector == valid.
   [[nodiscard]] std::vector<std::string> validate() const;

@@ -9,12 +9,10 @@
 // clusters into episodes (ROADMAP item 2's backoff design needs the
 // episode-length distribution, not just corpus seeds).
 //
-// Collection is gated twice: compile-time by ObserverPolicy (FastKernel
-// compiles the sites out entirely) and run-time by
-// BasicKernel::enable_engine_counters(), so default runs pay nothing
-// and observing runs pay one null test per site. Everything here is
-// derived from simulated state — bit-identical across hosts, thread
-// counts and reruns.
+// Collection is gated once, at run time, by
+// Kernel::enable_engine_counters(): runs that never enable it pay one
+// null test per site. Everything here is derived from simulated
+// state — bit-identical across hosts, thread counts and reruns.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +21,7 @@
 
 namespace delta::rtos {
 
-/// Counters populated by BasicKernel when engine introspection is on.
+/// Counters populated by the Kernel when engine introspection is on.
 struct EngineCounters {
   // Fused service windows (kernel entry -> completion, one event each).
   std::uint64_t service_windows = 0;

@@ -26,6 +26,13 @@ using EventGroupId = std::size_t;
 
 inline constexpr TaskId kNoTask = static_cast<TaskId>(-1);
 
+/// Largest PE, resource, task, lock or SoCDMMU block count that config
+/// and scenario validation admit: 4x the 256x256 ceiling the sharded
+/// deadlock units are tested to. Validation checks it before anything is sized from an
+/// untrusted count, so a hostile geometry is rejected with a message
+/// instead of allocating without bound.
+inline constexpr std::size_t kMaxGeometry = 1024;
+
 /// Priorities: smaller value = higher priority (paper: p1 highest).
 using Priority = int;
 

@@ -51,6 +51,19 @@ std::string to_string(const ConfigError& e) {
 
 std::vector<ConfigError> DeltaConfig::validate() const {
   std::vector<ConfigError> errors;
+  const auto bound = [&](const char* field, std::size_t n) {
+    if (n > rtos::kMaxGeometry)
+      errors.push_back({field, std::to_string(n) +
+                                   " exceeds the geometry bound of " +
+                                   std::to_string(rtos::kMaxGeometry)});
+  };
+  bound("pe_count", pe_count);
+  bound("task_count", task_count);
+  bound("resource_count", resource_count);
+  // Both lock backends size their tables from the SoCLC split.
+  bound("soclc.short_locks", soclc.short_locks);
+  bound("soclc.long_locks", soclc.long_locks);
+  bound("socdmmu.total_blocks", socdmmu.total_blocks);
   if (pe_count == 0)
     errors.push_back({"pe_count", "zero PEs"});
   if (task_count == 0)

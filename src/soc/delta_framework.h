@@ -75,7 +75,8 @@ struct DeltaConfig {
   /// everything. Must not be taller than task_count.
   std::vector<std::vector<rtos::ResourceId>> claims;
 
-  /// Consistency checks mirroring the GUI's input validation. Collects
+  /// Consistency checks mirroring the GUI's input validation, plus the
+  /// rtos::kMaxGeometry bound on every count. Collects
   /// *every* violated constraint (empty vector = valid) so a sweep
   /// author sees all problems in one pass instead of fixing them one
   /// throw at a time.

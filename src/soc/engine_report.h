@@ -16,7 +16,7 @@
 
 namespace delta::soc {
 
-/// Engine introspection for one BasicMpsoc run. `enabled` is false when
+/// Engine introspection for one Mpsoc run. `enabled` is false when
 /// the config never asked for collection (MpsocConfig::engine_stats),
 /// distinguishing "off" from a genuinely all-zero run.
 struct EngineReport {

@@ -214,6 +214,25 @@ TEST(ScenarioJson, MalformedInputReportsPosition) {
                    R"({"geometry": {"pes": 0, "resources": 1}, "tasks": [
                        {"name": "a", "pe": 0, "steps": []}]})"),
                std::invalid_argument);
+  // Hostile geometry: rejected by name before any system is sized.
+  for (const char* key : {"pes", "resources", "locks"}) {
+    const std::string json = std::string(R"({"geometry": {")") + key +
+                             R"(": 3000000000}, "tasks": [
+                       {"name": "a", "pe": 0, "steps": []}]})";
+    try {
+      (void)scenario_from_json(json);
+      FAIL() << "expected invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("geometry bound"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Scenario crowd;
+  crowd.tasks.resize(rtos::kMaxGeometry + 1);
+  const std::vector<std::string> errors = crowd.validate();
+  ASSERT_FALSE(errors.empty());
+  EXPECT_NE(errors.front().find("geometry bound"), std::string::npos);
 }
 
 TEST(ScenarioJson, InstallRunsOnAKernel) {

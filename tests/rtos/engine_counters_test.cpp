@@ -153,6 +153,30 @@ TEST(EngineCounters, CountersDoNotPerturbTheRun) {
   EXPECT_EQ(run_once(false), run_once(true));
 }
 
+TEST(EngineCounters, FusedServiceShapeIsOneEventPerWindow) {
+  // One task alone on one PE, so nothing contends or preempts. By hand:
+  //   1  release (start() schedules the task's arrival)
+  //   1  context-switch completion (dispatch)
+  //   3  compute completions (the three compute ops)
+  //   4  service windows: request, release, lock, unlock — one fused
+  //      event each, however long the entry + body chain is
+  // = 9 host events. An extra hop inside a service window adds one
+  // event per window and breaks the count.
+  WorldConfig wc = daa_config();
+  wc.pe_count = 1;
+  wc.max_tasks = 1;
+  World w(wc);
+  w.k().enable_engine_counters();
+  Program p;
+  p.compute(100).request({0}).compute(200).release({0}).lock(0).unlock(0)
+      .compute(50);
+  w.k().create_task("solo", 0, 1, p, 0);
+  w.run(1'000'000);
+  ASSERT_TRUE(w.k().all_finished());
+  EXPECT_EQ(w.k().engine_counters_snapshot().service_windows, 4u);
+  EXPECT_EQ(w.sim.events_dispatched(), 9u);
+}
+
 TEST(EngineCounters, MergeSumsCountersAndHistograms) {
   EngineCounters a;
   a.service_windows = 4;

@@ -2,7 +2,7 @@
 //
 // The DES hot path depends on every kernel-scheduled closure living in
 // SmallFn's inline buffer: one oversized capture block and the simulator
-// silently heap-allocates per event. kernel_impl.h static_asserts its
+// silently heap-allocates per event. rtos/kernel.cpp static_asserts its
 // own closures at the schedule sites; this suite pins the budget itself
 // and the fits_inline_v trait those asserts rely on, including capture
 // shapes representative of the kernel's largest continuations.
@@ -23,7 +23,7 @@ namespace {
 // it is a deliberate relayout, not a drive-by.
 static_assert(SmallFn::kInlineBytes == 88);
 
-// Representative kernel capture shapes (see kernel_impl.h). The largest
+// Representative kernel capture shapes (see rtos/kernel.cpp). The largest
 // service continuation — op_request's, capturing a kernel pointer, a
 // task id and a vector of per-resource events — must fit with room for
 // the completion wrapper's own pe + done captures.

@@ -186,6 +186,21 @@ TEST(ConfigIo, ZooValidationRejectsInconsistentConfigs) {
   DeltaConfig av = rtos_preset(RtosPreset::kRtos3);
   av.recovery = rtos::RecoveryPolicy::kAbortLowestCost;
   EXPECT_FALSE(av.validate().empty());
+  // Hostile geometry is rejected, naming the field, before anything is
+  // sized from it; the bound itself is admitted.
+  for (const char* key : {"pe_count", "task_count", "resource_count",
+                          "soclc.short_locks", "soclc.long_locks",
+                          "socdmmu.total_blocks"}) {
+    const std::string text = std::string(key) + " = 3000000000\n";
+    const std::vector<ConfigError> errors = read_config(text).validate();
+    ASSERT_FALSE(errors.empty()) << key;
+    EXPECT_EQ(errors.front().field, key);
+    EXPECT_NE(errors.front().message.find("geometry bound"),
+              std::string::npos);
+  }
+  DeltaConfig edge = rtos_preset(RtosPreset::kRtos4);
+  edge.pe_count = edge.task_count = edge.resource_count = rtos::kMaxGeometry;
+  EXPECT_TRUE(edge.validate().empty());
 }
 
 TEST(ConfigIo, ZooConfigsGenerateTheirStrategies) {

@@ -14,7 +14,7 @@
 //                 (deadlock/hierarchical.h), software residue on the PE
 //
 // plus the structural gate areas (hw/synth.h) and the avoidance-side
-// worst-case command cycles (DAU vs ShardedDau). Every number is
+// worst-case command cycles (DAU at C = 1 vs C clusters). Every number is
 // simulated/structural — no wall-clock — so the JSON is byte-stable and
 // scripts/bench_baseline.sh --scaling compares it with exact cmp. The
 // committed baseline is bench/BENCH_scaling.json; the headline is that
@@ -36,8 +36,6 @@
 #include "exp/json.h"
 #include "hw/dau.h"
 #include "hw/ddu.h"
-#include "hw/sharded_dau.h"
-#include "hw/sharded_ddu.h"
 #include "hw/synth.h"
 #include "sim/random.h"
 
@@ -81,8 +79,8 @@ GeometryRow walk(std::size_t m, std::uint64_t events, std::uint64_t seed,
   row.clusters = deadlock::ClusterMap::default_clusters(m);
 
   rag::StateMatrix state(m, m);
-  hw::ShardedDdu shard(m, m, row.clusters);
-  const deadlock::ClusterMap& map = shard.cluster_map();
+  hw::Ddu shard(m, m, row.clusters);
+  const deadlock::ClusterMap map(m, m, row.clusters);
   deadlock::SoftwarePdda pdda;
   sim::Rng rng(seed * 0x9E3779B97F4A7C15ull + m);
 
@@ -117,8 +115,8 @@ GeometryRow walk(std::size_t m, std::uint64_t events, std::uint64_t seed,
     row.sw_cycles += pdda.last_cycles();
     const hw::DduResult mono = hw::Ddu::evaluate(state);
     row.mono_cycles += mono.cycles;
-    const hw::ShardedDduResult sh = shard.run_event(s);
-    row.shard_unit_cycles += sh.unit_cycles;
+    const hw::DduResult sh = shard.run_event(s);
+    row.shard_unit_cycles += sh.cycles;
     row.shard_residue_cycles += sh.residue_pe_cycles;
     row.shard_escalations += sh.escalated ? 1 : 0;
     ++row.detections;
@@ -188,9 +186,9 @@ int main(int argc, char** argv) {
     const hw::AreaReport dau = hw::dau_area(m, m);
     const hw::AreaReport sdau = hw::sharded_dau_area(m, m, c);
     const hw::Ddu ddu_unit(m, m);
-    const hw::ShardedDdu sddu_unit(m, m, c);
+    const hw::Ddu sddu_unit(m, m, c);
     const hw::Dau dau_unit(m, m);
-    const hw::ShardedDau sdau_unit(m, m, c);
+    const hw::Dau sdau_unit(m, m, c);
 
     std::fprintf(stderr,
                  "%3zux%-3zu C=%-2zu  det %llu  dl %llu  sw %llu  mono %llu  "

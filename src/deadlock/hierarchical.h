@@ -1,18 +1,20 @@
 // Hierarchical (sharded) deadlock detection for large-geometry MPSoCs.
 //
-// The paper's DDU/DAU are monolithic m x n matrices; at 64x64 or 256x256
-// a single unit stops being free (Table 1 scaling: m*n matrix cells and a
-// 2*min(m,n)-3 iteration bound). Following the "Remote Control" idea for
-// modular SoCs (PAPERS.md), resources AND processes are partitioned into
-// C clusters: cluster c owns a contiguous block of resource rows and
-// process columns and gets its own small (m_c x n_c) unit that tracks
-// only *local* edges (resource and process in the same cluster). Edges
-// that cross clusters ("remote" edges) are tracked by a top-level
-// resolver; when an event touches a cluster with incident remote edges,
-// the resolver escalates to the bit-parallel software PDDA over just the
-// cross-cluster residue (the connected component of clusters).
+// The paper's DDU/DAU are one m x n matrix each; at 64x64 or 256x256 a
+// single unit stops being free (Table 1 scaling: m*n matrix cells and a
+// 2*min(m,n)-3 iteration bound). hw::Ddu and hw::Dau therefore take a
+// cluster count C: C = 1 is the paper's unit, and C > 1 runs this
+// detector. Following the "Remote Control" idea for modular SoCs
+// (PAPERS.md), resources AND processes are partitioned into C clusters:
+// cluster c owns a contiguous block of resource rows and process columns
+// and gets its own small (m_c x n_c) unit that tracks only *local* edges
+// (resource and process in the same cluster). Edges that cross clusters
+// ("remote" edges) are tracked by a top-level resolver; when an event
+// touches a cluster with incident remote edges, the resolver escalates
+// to the bit-parallel software PDDA over just the cross-cluster residue
+// (the connected component of clusters).
 //
-// Semantics are *identical* to a monolithic unit, not approximate. The
+// Semantics are *identical* to the C = 1 unit, not approximate. The
 // argument, for detection run after every edge-adding event on a
 // previously deadlock-free state: any new cycle passes through the
 // event's row q (cluster k). Either the cycle lies entirely within
@@ -102,10 +104,10 @@ struct HierOutcome {
   sim::Cycles residue_sw_cycles = 0; ///< metered bit-parallel PDDA cost
 };
 
-/// The shared hierarchical decision procedure. This is the software
-/// reference the sharded hardware units (hw/sharded_ddu.h, sharded_dau.h)
-/// wrap with bus/FSM accounting, so differential pairs compare one
-/// semantics across monolithic-hw, sharded-hw and software backends.
+/// The shared hierarchical decision procedure. hw::Ddu (and the DAU's
+/// embedded DDU) runs it whenever it is built with more than one cluster
+/// and wraps it with bus/FSM accounting, so differential pairs compare one
+/// semantics across C = 1 hardware, sharded hardware and software.
 class HierarchicalDetector {
  public:
   explicit HierarchicalDetector(ClusterMap map, SoftwareCostModel model = {});

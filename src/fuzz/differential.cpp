@@ -207,46 +207,52 @@ void check_invariants(const Scenario& s, const SystemUnderTest& sut,
 
 }  // namespace
 
+soc::MpsocConfig scenario_config(const Scenario& s,
+                                 const SystemUnderTest& sut) {
+  soc::DeltaConfig cfg = soc::rtos_preset(sut.preset);
+  cfg.pe_count = s.pe_count;
+  cfg.task_count = s.tasks.size();
+  cfg.resource_count = s.resource_count;
+  cfg.deadlock_clusters =
+      sut.clusters == 0
+          ? deadlock::ClusterMap::default_clusters(s.resource_count)
+          : std::min(sut.clusters, s.resource_count);
+  if (!sut.protocol.empty()) {
+    if (sut.protocol == "bankers") {
+      cfg.deadlock = soc::DeadlockComponent::kBankers;
+      cfg.stop_on_deadlock = false;
+      cfg.claims = scenario_claims(s);
+    } else if (sut.protocol == "wfg") {
+      cfg.deadlock = soc::DeadlockComponent::kWfgRecovery;
+      cfg.stop_on_deadlock = false;
+      cfg.detection_period = 5000;
+      cfg.recovery = rtos::RecoveryPolicy::kAbortLowestCost;
+    } else {
+      throw std::invalid_argument("unknown protocol override '" +
+                                  sut.protocol + "'");
+    }
+  }
+  soc::MpsocConfig mc = cfg.to_mpsoc_config();
+  // The preset carries the paper's four media devices; a scenario
+  // wants anonymous single-unit resources with no device processing
+  // time of their own (compute phases model the work instead).
+  mc.resources.clear();
+  for (std::size_t r = 0; r < s.resource_count; ++r)
+    mc.resources.push_back({"q" + std::to_string(r + 1), 0});
+  mc.trace = false;
+  // Nothing here reads the phase log, and large-geometry scenarios
+  // run long enough (run_limit up to 2e9 cycles) for its unbounded
+  // growth to exhaust memory.
+  mc.record_transitions = false;
+  return mc;
+}
+
 RunOutcome run_scenario(const Scenario& s, const SystemUnderTest& sut,
                         const std::string& fault, bool engine_stats) {
   RunOutcome o;
   o.sut = sut.name;
   try {
-    soc::DeltaConfig cfg = soc::rtos_preset(sut.preset);
-    cfg.pe_count = s.pe_count;
-    cfg.task_count = s.tasks.size();
-    cfg.resource_count = s.resource_count;
-    cfg.deadlock_clusters =
-        sut.clusters == 0
-            ? deadlock::ClusterMap::default_clusters(s.resource_count)
-            : std::min(sut.clusters, s.resource_count);
-    if (!sut.protocol.empty()) {
-      if (sut.protocol == "bankers") {
-        cfg.deadlock = soc::DeadlockComponent::kBankers;
-        cfg.stop_on_deadlock = false;
-        cfg.claims = scenario_claims(s);
-      } else if (sut.protocol == "wfg") {
-        cfg.deadlock = soc::DeadlockComponent::kWfgRecovery;
-        cfg.stop_on_deadlock = false;
-        cfg.detection_period = 5000;
-        cfg.recovery = rtos::RecoveryPolicy::kAbortLowestCost;
-      } else {
-        throw std::invalid_argument("unknown protocol override '" +
-                                    sut.protocol + "'");
-      }
-    }
-    soc::MpsocConfig mc = cfg.to_mpsoc_config();
-    // The preset carries the paper's four media devices; a scenario
-    // wants anonymous single-unit resources with no device processing
-    // time of their own (compute phases model the work instead).
-    mc.resources.clear();
-    for (std::size_t r = 0; r < s.resource_count; ++r)
-      mc.resources.push_back({"q" + std::to_string(r + 1), 0});
-    mc.trace = false;
-    // Nothing here reads the phase log, and large-geometry scenarios
-    // run long enough (run_limit up to 2e9 cycles) for its unbounded
-    // growth to exhaust memory.
-    mc.record_transitions = false;
+    soc::MpsocConfig mc = scenario_config(s, sut);
     mc.engine_stats = engine_stats;
     const auto mpsoc = std::make_unique<soc::Mpsoc>(mc);
     rtos::Kernel& k = mpsoc->kernel();

@@ -133,6 +133,11 @@ struct DiffResult {
   [[nodiscard]] std::vector<std::string> all_violations() const;
 };
 
+/// The system configuration run_scenario() builds for `s` on `sut`
+/// (before installing the scenario's tasks).
+[[nodiscard]] soc::MpsocConfig scenario_config(const Scenario& s,
+                                               const SystemUnderTest& sut);
+
 /// Run one scenario on one configuration and evaluate its per-run
 /// invariants. `fault` (optional) names a strategy fault to enable
 /// (DeadlockStrategy::enable_fault); configurations that do not

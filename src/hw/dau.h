@@ -6,9 +6,16 @@
 // embedded DDU, and the DAA finite state machine (Algorithm 3).
 //
 // Decision logic is the shared DaaEngine (src/deadlock/daa.h) driven by
-// the DDU hardware detector; this file adds the FSM cycle accounting that
-// Table 2 quotes: worst case = 8 FSM steps + (#probes x DDU steps), e.g.
-// 6*5 + 8 = 38 for a 5x5 unit.
+// the embedded DDU (hw/ddu.h); this file adds the FSM cycle accounting
+// that Table 2 quotes: worst case = 8 FSM steps + (#probes x DDU steps),
+// e.g. 6*5 + 8 = 38 for a 5x5 unit.
+//
+// With C > 1 clusters the embedded DDU is sharded. Every grant/pend/
+// give-up decision stays bit-identical to the C = 1 unit (the
+// hierarchical detector returns the same verdict on every probe); each
+// probe pays the event cluster's small unit, and when the event cluster
+// has incident cross-cluster edges a software residue that the invoking
+// PE executes (last_escalation_cycles()).
 #pragma once
 
 #include <cstdint>
@@ -36,14 +43,19 @@ struct DauStatus {
   /// waiters re-arbitrates, and the resource can be handed to an
   /// already-queued waiter instead of the requester. The status register
   /// reports that grantee so the OS can unblock it (kNoProc otherwise;
-  /// `successful` still means "the requester itself was granted").
+  /// `successful` still means "the requester itself was granted"). The
+  /// same re-arbitration can engage the livelock breaker, which latches
+  /// `livelock` and the victim in give_up/which_process.
   rag::ProcId granted_to = rag::kNoProc;
 };
 
-/// Hardware DAU for a fixed m x n system.
+/// Hardware DAU for a fixed m x n system with a `clusters`-unit DDU.
 class Dau {
  public:
-  Dau(std::size_t resources, std::size_t processes);
+  Dau(std::size_t resources, std::size_t processes, std::size_t clusters = 1);
+
+  [[nodiscard]] bool sharded() const { return ddu_.sharded(); }
+  [[nodiscard]] std::size_t clusters() const { return ddu_.clusters(); }
 
   /// FSM step costs (bus cycles). The request path decodes the command,
   /// checks availability, optionally probes the DDU once, and latches
@@ -68,11 +80,22 @@ class Dau {
   /// Priority table (one register per process; smaller = higher).
   void set_priority(rag::ProcId p, int priority);
 
-  /// Cycles consumed by the most recent command (FSM + DDU probes).
+  /// Unit cycles of the most recent command: FSM steps + DDU probes
+  /// (sharded: the local cluster units; the escalated residue runs in
+  /// software on the PE and is reported by last_escalation_cycles()).
   [[nodiscard]] sim::Cycles last_cycles() const { return last_cycles_; }
 
-  /// DDU probes issued by the most recent command.
+  /// Software residue cycles the invoking PE executed for the most
+  /// recent command (0 at C = 1 and when no probe escalated).
+  [[nodiscard]] sim::Cycles last_escalation_cycles() const {
+    return last_escalation_cycles_;
+  }
+
+  /// DDU probes / escalated probes of the most recent command.
   [[nodiscard]] std::size_t last_probes() const { return last_probes_; }
+  [[nodiscard]] std::size_t last_escalations() const {
+    return last_escalations_;
+  }
 
   /// Resources the asked process must give up (give_up status), matching
   /// the RequestResult/ReleaseResult from the decision engine.
@@ -90,7 +113,9 @@ class Dau {
     return engine_->owner(q);
   }
 
-  /// Worst-case cycles for one command on this geometry (Table 2).
+  /// Worst-case unit cycles for one command (Table 2): n probes at the
+  /// DDU's worst case + FSM stages. Sharded, each probe pays only the
+  /// largest cluster's worst case.
   [[nodiscard]] sim::Cycles worst_case_cycles() const;
 
   /// TEST ONLY: flip the grant-safety check. When enabled, the FSM's
@@ -101,28 +126,43 @@ class Dau {
   void inject_grant_fault(bool on) { grant_fault_ = on; }
   [[nodiscard]] bool grant_fault() const { return grant_fault_; }
 
-  /// Register "dau.commands"/"dau.ddu_probes" counters; every command
-  /// (request/release/retry_grant) then bumps them.
+  /// Register the unit's counters; every command (request/release/
+  /// retry_grant) then bumps them. C = 1: "dau.commands"/"dau.ddu_probes".
+  /// Sharded: "sharded_dau.commands"/".probes"/".escalations".
   void attach_metrics(obs::MetricsRegistry& m);
 
  private:
-  void note_command();
+  void begin_command(rag::ResId q);
+  void end_command(const std::vector<rag::ResId>& asked, sim::Cycles fsm);
+  /// A committed grant was probed safe on the committed state itself.
+  void note_release(deadlock::ReleaseOutcome o);
 
+  Ddu ddu_;  ///< the embedded DDU; the engine probes through it
   std::unique_ptr<deadlock::DaaEngine> engine_;
-  std::size_t m_, n_;
+  rag::ResId command_res_ = rag::kNoRes;  ///< probe context for detection
+  sim::Cycles probe_cycles_ = 0;  // accumulated DDU time per command
+  sim::Cycles escalation_cycles_ = 0;
+  std::size_t escalations_ = 0;
   sim::Cycles last_cycles_ = 0;
-  sim::Cycles probe_cycles_ = 0;  // accumulated DDU time per event
-  std::size_t last_probes_ = 0;
+  sim::Cycles last_escalation_cycles_ = 0;
+  std::size_t last_probes_ = 0, last_escalations_ = 0;
   std::vector<rag::ResId> asked_resources_;
-  rag::ReduceScratch scratch_;  // the embedded DDU's working planes
+  /// The committed engine state is provably deadlock-free (sharded probes
+  /// only). Cleared when Algorithm 3 parks an R-dl (the cycle stays in
+  /// the matrix while the asked process unwinds); re-set once a command
+  /// commits a state that a probe saw clean. While cleared, probes run
+  /// whole-state detection (dau.cpp explains why).
+  bool clean_ = true;
   bool grant_fault_ = false;
   obs::Counter* ctr_commands_ = nullptr;
   obs::Counter* ctr_probes_ = nullptr;
+  obs::Counter* ctr_escalations_ = nullptr;  ///< sharded only
 };
 
 /// Map the decision engine's results onto the DauStatus register layout.
-/// Shared with the sharded DAU (hw/sharded_dau.h) so both units present
-/// identical status words for identical decisions.
+/// This is the one translation of an Algorithm 3 decision: the DAU at any
+/// cluster count reports it, and the software DAA strategy reuses it, so
+/// every avoidance backend presents the same status for the same decision.
 DauStatus dau_status_from_request(const deadlock::RequestResult& r,
                                   rag::ResId q);
 DauStatus dau_status_from_release(const deadlock::ReleaseResult& r,

@@ -5,19 +5,44 @@
 
 namespace delta::hw {
 
-Ddu::Ddu(std::size_t resources, std::size_t processes)
-    : cells_(resources, processes) {}
+namespace {
+
+/// Iteration bound of one k = min(rows, columns) unit, plus the final
+/// all-zero/irreducible check.
+std::size_t bound_for(std::size_t k) { return k < 2 ? 1 : 2 * k - 3 + 1; }
+
+}  // namespace
+
+Ddu::Ddu(std::size_t resources, std::size_t processes, std::size_t clusters)
+    : cells_(resources, processes) {
+  if (clusters > 1)
+    hier_.emplace(deadlock::ClusterMap(resources, processes, clusters));
+}
 
 void Ddu::load(const rag::StateMatrix& m) {
   if (m.resources() != cells_.resources() ||
       m.processes() != cells_.processes())
     throw std::invalid_argument("Ddu::load: dimension mismatch");
   cells_ = m;
+  clean_ = false;  // unknown until the next evaluation
 }
 
 std::size_t Ddu::iteration_bound() const {
-  const std::size_t k = std::min(resources(), processes());
-  return k < 2 ? 1 : 2 * k - 3 + 1;  // +1: final all-zero/irreducible check
+  return bound_for(std::min(resources(), processes()));
+}
+
+std::size_t Ddu::cluster_iteration_bound() const {
+  return bound_for(cluster_span());
+}
+
+std::size_t Ddu::cluster_span() const {
+  if (!hier_) return std::min(resources(), processes());
+  const deadlock::ClusterMap& map = hier_->map();
+  std::size_t span = 0;
+  for (std::size_t c = 0; c < map.clusters(); ++c)
+    span = std::max(span, std::min(map.resource_count(c),
+                                   map.process_count(c)));
+  return span;
 }
 
 DduResult Ddu::result_of(const rag::PlaneReduction& r) {
@@ -44,18 +69,46 @@ DduResult Ddu::evaluate(const rag::StateMatrix& state) {
   return evaluate(state, scratch);
 }
 
-DduResult Ddu::run() {
-  const DduResult r = evaluate(cells_, scratch_);
+DduResult Ddu::probe(const rag::StateMatrix& state, rag::ResId res) {
+  if (!hier_) return evaluate(state, scratch_);
+  const deadlock::HierOutcome o = res == rag::kNoRes
+                                      ? hier_->detect_all(state)
+                                      : hier_->detect_event(state, res);
+  DduResult r;
+  r.deadlock = o.deadlock;
+  r.iterations = o.local_iterations;
+  r.cycles = o.local_unit_cycles;  // cluster units run in parallel: max
+  r.escalated = o.escalated;
+  r.residue_pe_cycles = o.residue_sw_cycles;
+  r.residue_resources = o.residue_resources;
+  return r;
+}
+
+DduResult Ddu::run() { return finish(probe(cells_, rag::kNoRes)); }
+
+DduResult Ddu::run_event(rag::ResId res) {
+  return finish(probe(cells_, clean_ ? res : rag::kNoRes));
+}
+
+DduResult Ddu::finish(const DduResult& r) {
+  clean_ = !r.deadlock;
   if (ctr_runs_ != nullptr) {
     ctr_runs_->add();
     ctr_iterations_->add(r.iterations);
+    if (r.escalated) ctr_escalations_->add();
   }
   return r;
 }
 
 void Ddu::attach_metrics(obs::MetricsRegistry& m) {
-  ctr_runs_ = &m.counter("ddu.runs");
-  ctr_iterations_ = &m.counter("ddu.iterations");
+  if (!hier_) {
+    ctr_runs_ = &m.counter("ddu.runs");
+    ctr_iterations_ = &m.counter("ddu.iterations");
+    return;
+  }
+  ctr_runs_ = &m.counter("sharded_ddu.runs");
+  ctr_iterations_ = &m.counter("sharded_ddu.local_iterations");
+  ctr_escalations_ = &m.counter("sharded_ddu.escalations");
 }
 
 }  // namespace delta::hw

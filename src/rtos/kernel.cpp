@@ -850,17 +850,29 @@ void Kernel::maybe_wake_resource_waiter(TaskId id) {
 }
 
 void Kernel::schedule_give_up(TaskId victim, std::vector<ResourceId> rs) {
+  // A demand equal to the victim's latest one still in flight adds
+  // nothing: that one complies first (the delay is fixed) and gives up
+  // the same resources. Every compliance retries all livelock-idled
+  // resources, and a retry that re-livelocks asks the same victim again;
+  // when a compliance releases nothing (the victim's grant is still
+  // inside an in-flight service window), one new demand per retry would
+  // double the pending events every give_up_delay.
+  Task& v = task(victim);
+  if (v.give_ups_in_flight != 0 && v.last_give_up == rs) return;
+  ++v.give_ups_in_flight;
+  v.last_give_up = rs;
   if (engine_ != nullptr) note_give_up(victim, rs.size());
   trace("RM", [&] {
-    return "asking " + task(victim).name + " to give up " +
+    return "asking " + v.name + " to give up " +
            kernel_detail::join_names(
                rs, [&](ResourceId x) { return resource_name(x); });
   });
 
   sim_.schedule_in(cost_table_.give_up_delay, [this, victim,
                                                rs = std::move(rs)] {
-    if (halted_) return;
     Task& v = task(victim);
+    --v.give_ups_in_flight;
+    if (halted_) return;
     std::vector<ResourceId> released;
     sim::Cycles cursor = sim_.now();
     for (ResourceId res : rs) {

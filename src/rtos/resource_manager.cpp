@@ -6,8 +6,6 @@
 #include "deadlock/bankers.h"
 #include "deadlock/baselines.h"
 #include "deadlock/wfg.h"
-#include "hw/sharded_dau.h"
-#include "hw/sharded_ddu.h"
 
 namespace delta::rtos {
 
@@ -146,18 +144,23 @@ class PddaSoftwareStrategy final : public GrantingManagerBase {
 };
 
 // RTOS2: DDU in hardware; cell updates are bus writes, the unit computes
-// concurrently and interrupts on deadlock.
+// concurrently and interrupts on deadlock. A sharded DDU (C > 1) takes
+// the same bus writes (the resolver's remote table is memory-mapped like
+// the cluster units); detection runs in the event cluster's unit, and
+// escalated residues execute as software on the invoking PE (charged to
+// pe_cycles, not unit_cycles).
 class DduStrategy final : public GrantingManagerBase {
  public:
-  DduStrategy(std::size_t resources, std::size_t tasks,
-              const ServiceCosts& costs, bus::SharedBus* bus,
-              std::vector<std::size_t> master_of_task)
+  DduStrategy(std::size_t resources, std::size_t tasks, std::size_t clusters,
+              const ServiceCosts& costs, bus::SharedBus* bus)
       : GrantingManagerBase(resources, tasks, costs),
-        ddu_(resources, tasks),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
+        ddu_(resources, tasks, clusters),
+        bus_(bus) {}
 
-  std::string name() const override { return "ddu (RTOS2)"; }
+  std::string name() const override {
+    if (!ddu_.sharded()) return "ddu (RTOS2)";
+    return "ddu-sharded (C=" + std::to_string(ddu_.clusters()) + ")";
+  }
 
   void attach_observer(obs::Observer* o) override {
     if (o != nullptr) ddu_.attach_metrics(o->metrics);
@@ -171,13 +174,12 @@ class DduStrategy final : public GrantingManagerBase {
 
  private:
   hw::Ddu ddu_;
+  bus::SharedBus* bus_;
   bool silent_ = false;  ///< fault injection: swallow detection results
 
   void on_cancelled(TaskId who, ResourceId res) override {
     ddu_.set_edge(res, who, Edge::kNone);
   }
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;  // reserved for multi-master use
 
   void run_detection(ResourceEvent& ev, sim::Cycles now) override {
     // Mirror the event's cell updates into the unit's matrix cells: one
@@ -192,69 +194,10 @@ class DduStrategy final : public GrantingManagerBase {
     } else {
       ev.pe_cycles += 3 * changed_.size();
     }
-    const hw::DduResult r = ddu_.run();
+    // Every well-formed event writes at least one cell, all in its row.
+    const hw::DduResult r = ddu_.run_event(changed_.front().res);
     algo_times_.add(static_cast<double>(r.cycles));
     ev.unit_cycles = r.cycles;
-    ev.deadlock_detected = silent_ ? false : r.deadlock;
-  }
-};
-
-// Sharded DDU: per-cluster units + inter-cluster resolver. Cell writes
-// cross the bus exactly as for the monolithic DDU (the resolver's remote
-// table is memory-mapped like the cluster units); local detection runs in
-// the event cluster's unit, and escalated residues execute as software on
-// the invoking PE (charged to pe_cycles, not unit_cycles).
-class ShardedDduStrategy final : public GrantingManagerBase {
- public:
-  ShardedDduStrategy(std::size_t resources, std::size_t tasks,
-                     std::size_t clusters, const ServiceCosts& costs,
-                     bus::SharedBus* bus,
-                     std::vector<std::size_t> master_of_task)
-      : GrantingManagerBase(resources, tasks, costs),
-        ddu_(resources, tasks, clusters),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
-
-  std::string name() const override {
-    return "ddu-sharded (C=" +
-           std::to_string(ddu_.cluster_map().clusters()) + ")";
-  }
-
-  void attach_observer(obs::Observer* o) override {
-    if (o != nullptr) ddu_.attach_metrics(o->metrics);
-  }
-
-  bool enable_fault(const std::string& name) override {
-    if (name != "ddu-silent") return false;
-    silent_ = true;
-    return true;
-  }
-
- private:
-  hw::ShardedDdu ddu_;
-  bool silent_ = false;
-
-  void on_cancelled(TaskId who, ResourceId res) override {
-    ddu_.set_edge(res, who, Edge::kNone);
-  }
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;
-
-  void run_detection(ResourceEvent& ev, sim::Cycles now) override {
-    for (const CellChange& c : changed_)
-      ddu_.set_edge(c.res, c.who, c.value);
-    if (bus_ != nullptr) {
-      sim::Cycles done = now;
-      for (std::size_t i = 0; i < changed_.size(); ++i)
-        done = bus_->transfer(0, done, 1).complete;
-      ev.pe_cycles += done > now ? done - now : 0;
-    } else {
-      ev.pe_cycles += 3 * changed_.size();
-    }
-    if (changed_.empty()) return;  // malformed event: nothing to evaluate
-    const hw::ShardedDduResult r = ddu_.run_event(changed_.front().res);
-    algo_times_.add(static_cast<double>(r.unit_cycles));
-    ev.unit_cycles = r.unit_cycles;
     ev.pe_cycles += r.residue_pe_cycles;  // software residue on the PE
     ev.deadlock_detected = silent_ ? false : r.deadlock;
   }
@@ -338,42 +281,40 @@ class WfgStrategy final : public GrantingManagerBase {
 // Avoidance strategies (RTOS3 / RTOS4).
 // ----------------------------------------------------------------------
 
-ResourceEvent map_request(const deadlock::RequestResult& r, ResourceId res) {
-  using deadlock::RequestOutcome;
+// An Algorithm 3 decision reaches the kernel in one way: the engine's
+// result becomes a DAU status word (hw::dau_status_from_request /
+// _from_release), and the status word becomes a ResourceEvent here. The
+// software DAA and the DAU at any cluster count share both steps.
+void copy_status(const hw::DauStatus& st,
+                 const std::vector<rag::ResId>& asked, ResourceEvent& ev) {
+  ev.r_dl = st.r_dl;
+  ev.g_dl = st.g_dl;
+  ev.livelock = st.livelock;
+  if (!st.give_up) return;
+  ev.asked = static_cast<TaskId>(st.which_process);
+  ev.ask_give_up.assign(asked.begin(), asked.end());
+}
+
+ResourceEvent event_from_request(const hw::DauStatus& st,
+                                 const std::vector<rag::ResId>& asked,
+                                 ResourceId res) {
   ResourceEvent ev;
-  ev.granted = r.outcome == RequestOutcome::kGranted;
-  ev.r_dl = r.r_dl;
-  ev.g_dl = r.g_dl;
-  ev.livelock = r.livelock;
+  ev.granted = st.successful;
   // Free-with-waiters arbitration can commit the grant to an
   // already-queued *other* waiter; surface it so the kernel wakes it.
-  if (r.grantee != rag::kNoProc && r.outcome != RequestOutcome::kGranted)
-    ev.grants.emplace_back(static_cast<TaskId>(r.grantee), res);
-  if (r.outcome == RequestOutcome::kOwnerAsked ||
-      r.outcome == RequestOutcome::kGiveUpAsked || r.livelock) {
-    ev.asked = r.asked == rag::kNoProc ? kNoTask
-                                       : static_cast<TaskId>(r.asked);
-    ev.ask_give_up.assign(r.asked_resources.begin(),
-                          r.asked_resources.end());
-  }
+  if (st.granted_to != rag::kNoProc)
+    ev.grants.emplace_back(static_cast<TaskId>(st.granted_to), res);
+  copy_status(st, asked, ev);
   return ev;
 }
 
-ResourceEvent map_release(const deadlock::ReleaseResult& r, ResourceId res) {
-  using deadlock::ReleaseOutcome;
+ResourceEvent event_from_release(const hw::DauStatus& st,
+                                 const std::vector<rag::ResId>& asked,
+                                 ResourceId res) {
   ResourceEvent ev;
-  ev.g_dl = r.g_dl;
-  if (r.outcome == ReleaseOutcome::kGrantedHighest ||
-      r.outcome == ReleaseOutcome::kGrantedLower) {
-    ev.grants.emplace_back(static_cast<TaskId>(r.grantee), res);
-  } else if (r.outcome == ReleaseOutcome::kLivelockResolved) {
-    ev.livelock = true;
-    if (r.asked != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(r.asked);
-      ev.ask_give_up.assign(r.asked_resources.begin(),
-                            r.asked_resources.end());
-    }
-  }
+  if (st.successful && st.which_process != rag::kNoProc)
+    ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
+  copy_status(st, asked, ev);
   return ev;
 }
 
@@ -410,7 +351,8 @@ class DaaSoftwareStrategy final : public DeadlockStrategy {
   ResourceEvent request(TaskId who, ResourceId res, sim::Cycles) override {
     detect_cycles_ = 0;
     const deadlock::RequestResult r = engine_.request(who, res);
-    ResourceEvent ev = map_request(r, res);
+    ResourceEvent ev = event_from_request(hw::dau_status_from_request(r, res),
+                                          r.asked_resources, res);
     finish(ev);
     return ev;
   }
@@ -418,7 +360,8 @@ class DaaSoftwareStrategy final : public DeadlockStrategy {
   ResourceEvent release(TaskId who, ResourceId res, sim::Cycles) override {
     detect_cycles_ = 0;
     const deadlock::ReleaseResult r = engine_.release(who, res);
-    ResourceEvent ev = map_release(r, res);
+    ResourceEvent ev = event_from_release(hw::dau_status_from_release(r, res),
+                                          r.asked_resources, res);
     finish(ev);
     return ev;
   }
@@ -426,7 +369,8 @@ class DaaSoftwareStrategy final : public DeadlockStrategy {
   ResourceEvent retry(ResourceId res, sim::Cycles) override {
     detect_cycles_ = 0;
     const deadlock::ReleaseResult r = engine_.retry_grant(res);
-    ResourceEvent ev = map_release(r, res);
+    ResourceEvent ev = event_from_release(hw::dau_status_from_release(r, res),
+                                          r.asked_resources, res);
     finish(ev);
     return ev;
   }
@@ -518,18 +462,23 @@ class BankersStrategy final : public DeadlockStrategy {
 };
 
 // RTOS4: the DAU; commands and status cross the bus, Algorithm 3 runs in
-// the unit.
+// the unit. A sharded DAU (C > 1) makes the same decisions; its probes
+// pay the event cluster's small unit, and escalated residues run as
+// software on the commanding PE before it can read the final status word.
 class DauStrategy final : public DeadlockStrategy {
  public:
-  DauStrategy(std::size_t resources, std::size_t tasks,
+  DauStrategy(std::size_t resources, std::size_t tasks, std::size_t clusters,
               const ServiceCosts& costs, bus::SharedBus* bus,
               std::vector<std::size_t> master_of_task)
       : costs_(costs),
-        dau_(resources, tasks),
+        dau_(resources, tasks, clusters),
         bus_(bus),
         master_of_task_(std::move(master_of_task)) {}
 
-  std::string name() const override { return "dau (RTOS4)"; }
+  std::string name() const override {
+    if (!dau_.sharded()) return "dau (RTOS4)";
+    return "dau-sharded (C=" + std::to_string(dau_.clusters()) + ")";
+  }
 
   void attach_observer(obs::Observer* o) override {
     if (o != nullptr) dau_.attach_metrics(o->metrics);
@@ -557,60 +506,26 @@ class DauStrategy final : public DeadlockStrategy {
   }
 
   ResourceEvent request(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.request(who, res);
-    ResourceEvent ev;
-    ev.granted = st.successful;
-    ev.r_dl = st.r_dl;
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.granted_to != rag::kNoProc && !ev.granted)
-      ev.grants.emplace_back(static_cast<TaskId>(st.granted_to), res);
-    if (st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-    }
+    ResourceEvent ev = event_from_request(dau_.request(who, res),
+                                          dau_.asked_resources(), res);
     charge(ev, who, now);
     return ev;
   }
 
   ResourceEvent release(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.release(who, res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc) {
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    }
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.give_up && st.which_process != rag::kNoProc && st.livelock) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
+    ResourceEvent ev = event_from_release(dau_.release(who, res),
+                                          dau_.asked_resources(), res);
     charge(ev, who, now);
     return ev;
   }
 
   ResourceEvent retry(ResourceId res, sim::Cycles now) override {
     // Give-up-complete command: the FSM re-runs grant arbitration.
-    const hw::DauStatus st = dau_.retry_grant(res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc)
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.livelock && st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
+    ResourceEvent ev = event_from_release(dau_.retry_grant(res),
+                                          dau_.asked_resources(), res);
     charge(ev, 0, now);
     return ev;
   }
-
-  hw::Dau& unit() { return dau_; }
 
  private:
   ServiceCosts costs_;
@@ -621,134 +536,8 @@ class DauStrategy final : public DeadlockStrategy {
 
   void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
     // Command write (1 word) + unit busy + status read (1 word). The PE
-    // waits for the status because the outcome gates its next action.
-    const std::size_t master =
-        who < master_of_task_.size() ? master_of_task_[who] : 0;
-    const sim::Cycles unit = dau_.last_cycles();
-    algo_times_.add(static_cast<double>(unit));
-    ev.unit_cycles = unit;
-    sim::Cycles done = now;
-    if (bus_ != nullptr) {
-      done = bus_->transfer(master, done, 1).complete;  // command write
-      done = std::max(done + unit, unit_busy_until_);
-      unit_busy_until_ = done;
-      done = bus_->transfer(master, done, 1).complete;  // status read
-    } else {
-      done = now + 3 + unit + 3;
-    }
-    ev.pe_cycles = costs_.resource_service + (done - now);
-  }
-};
-
-// Sharded DAU: the same Algorithm-3 decisions as the monolithic DAU
-// (shared DaaEngine + hierarchical detector with monolithic-equivalent
-// verdicts), but probes pay the event cluster's small unit and escalated
-// residues run as software on the commanding PE before it can read the
-// final status word.
-class ShardedDauStrategy final : public DeadlockStrategy {
- public:
-  ShardedDauStrategy(std::size_t resources, std::size_t tasks,
-                     std::size_t clusters, const ServiceCosts& costs,
-                     bus::SharedBus* bus,
-                     std::vector<std::size_t> master_of_task)
-      : costs_(costs),
-        dau_(resources, tasks, clusters),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
-
-  std::string name() const override {
-    return "dau-sharded (C=" +
-           std::to_string(dau_.cluster_map().clusters()) + ")";
-  }
-
-  void attach_observer(obs::Observer* o) override {
-    if (o != nullptr) dau_.attach_metrics(o->metrics);
-  }
-
-  bool enable_fault(const std::string& name) override {
-    if (name != "dau-grant") return false;
-    dau_.inject_grant_fault(true);
-    return true;
-  }
-
-  void set_priority(TaskId who, Priority prio) override {
-    dau_.set_priority(who, prio);
-  }
-
-  TaskId owner(ResourceId res) const override {
-    const rag::ProcId p = dau_.owner(res);
-    return p == rag::kNoProc ? kNoTask : static_cast<TaskId>(p);
-  }
-
-  const rag::StateMatrix* state() const override { return &dau_.state(); }
-
-  void cancel_request(TaskId who, ResourceId res) override {
-    dau_.cancel_request(who, res);
-  }
-
-  ResourceEvent request(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.request(who, res);
-    ResourceEvent ev;
-    ev.granted = st.successful;
-    ev.r_dl = st.r_dl;
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.granted_to != rag::kNoProc && !ev.granted)
-      ev.grants.emplace_back(static_cast<TaskId>(st.granted_to), res);
-    if (st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-    }
-    charge(ev, who, now);
-    return ev;
-  }
-
-  ResourceEvent release(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.release(who, res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc) {
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    }
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.give_up && st.which_process != rag::kNoProc && st.livelock) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, who, now);
-    return ev;
-  }
-
-  ResourceEvent retry(ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.retry_grant(res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc)
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.livelock && st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, 0, now);
-    return ev;
-  }
-
- private:
-  ServiceCosts costs_;
-  hw::ShardedDau dau_;
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;
-  sim::Cycles unit_busy_until_ = 0;
-
-  void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
-    // Command write + unit busy + (escalated residue in software) +
-    // status read. An escalation interposes before the final status is
+    // waits for the status because the outcome gates its next action. A
+    // sharded unit's escalation interposes before the final status is
     // valid: the resolver raises "escalate", the PE runs the residue
     // PDDA and writes the verdict back, then the FSM completes.
     const std::size_t master =
@@ -785,9 +574,9 @@ std::unique_ptr<DeadlockStrategy> make_pdda_software_strategy(
 
 std::unique_ptr<DeadlockStrategy> make_ddu_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task) {
-  return std::make_unique<DduStrategy>(resources, tasks, costs, bus,
-                                       std::move(master_of_task));
+    bus::SharedBus* bus, std::size_t clusters) {
+  return std::make_unique<DduStrategy>(resources, tasks, clusters, costs,
+                                       bus);
 }
 
 std::unique_ptr<DeadlockStrategy> make_daa_software_strategy(
@@ -797,27 +586,10 @@ std::unique_ptr<DeadlockStrategy> make_daa_software_strategy(
 
 std::unique_ptr<DeadlockStrategy> make_dau_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task) {
-  return std::make_unique<DauStrategy>(resources, tasks, costs, bus,
-                                       std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_sharded_ddu_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task) {
-  return std::make_unique<ShardedDduStrategy>(resources, tasks, clusters,
-                                              costs, bus,
-                                              std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_sharded_dau_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task) {
-  return std::make_unique<ShardedDauStrategy>(resources, tasks, clusters,
-                                              costs, bus,
-                                              std::move(master_of_task));
+    bus::SharedBus* bus, std::vector<std::size_t> master_of_task,
+    std::size_t clusters) {
+  return std::make_unique<DauStrategy>(resources, tasks, clusters, costs,
+                                       bus, std::move(master_of_task));
 }
 
 std::unique_ptr<DeadlockStrategy> make_bankers_strategy(

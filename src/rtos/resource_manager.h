@@ -126,39 +126,31 @@ class DeadlockStrategy {
 };
 
 /// Factory helpers. `bus` may be null for strategies that do not touch
-/// the bus (pure software); `pe_of` maps TaskId -> bus master index.
+/// the bus (pure software); `master_of_task` maps TaskId -> bus master
+/// index for the DAU's command/status traffic.
 std::unique_ptr<DeadlockStrategy> make_none_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
 
 std::unique_ptr<DeadlockStrategy> make_pdda_software_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
 
+/// The hardware units take a cluster count. `clusters` = 1 is the paper's
+/// unit (RTOS2 "ddu", RTOS4 "dau"); `clusters` > 1 shards it into
+/// per-cluster units plus an inter-cluster resolver that escalates
+/// cross-cluster residues to software on the invoking PE (hw/ddu.h,
+/// deadlock/hierarchical.h). Detection/avoidance decisions are identical
+/// at every cluster count; only the cost split differs.
 std::unique_ptr<DeadlockStrategy> make_ddu_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task);
+    bus::SharedBus* bus, std::size_t clusters = 1);
 
 std::unique_ptr<DeadlockStrategy> make_daa_software_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
 
 std::unique_ptr<DeadlockStrategy> make_dau_strategy(
     std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task);
-
-/// Sharded hierarchical units (hw/sharded_ddu.h, hw/sharded_dau.h):
-/// `clusters` per-cluster units + an inter-cluster resolver that
-/// escalates cross-cluster residues to software on the invoking PE.
-/// Detection/avoidance decisions are identical to the monolithic units;
-/// only the cost split differs. `clusters <= 1` is the monolithic shape
-/// (callers normally pick make_ddu_strategy/make_dau_strategy instead).
-std::unique_ptr<DeadlockStrategy> make_sharded_ddu_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task);
-
-std::unique_ptr<DeadlockStrategy> make_sharded_dau_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task);
+    bus::SharedBus* bus, std::vector<std::size_t> master_of_task,
+    std::size_t clusters = 1);
 
 /// Runtime Banker's avoidance (deadlock/bankers.h): max-claims
 /// declarations via set_claims(); an unsafe request is refused and the

@@ -1,7 +1,9 @@
 // Task control block.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "rtos/flat_containers.h"
 #include "rtos/program.h"
@@ -56,9 +58,11 @@ struct Task {
   FlatSet<ResourceId> held;
   FlatSet<ResourceId> waiting_for;
 
-  /// Give-up demand raised by the avoidance strategy: resources this task
-  /// must release (and then re-request, since it still needs them).
-  FlatSet<ResourceId> must_give_up;
+  /// Give-up demands raised by the avoidance strategy and not yet
+  /// complied with, and the resources of the latest one (this task must
+  /// release them, then re-request them since it still needs them).
+  std::uint32_t give_ups_in_flight = 0;
+  std::vector<ResourceId> last_give_up;
 
   /// Named allocation slots (op::Alloc/op::Free).
   FlatMap<std::string, std::uint64_t> allocations;

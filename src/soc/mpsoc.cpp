@@ -15,30 +15,24 @@ std::unique_ptr<rtos::DeadlockStrategy> make_strategy(
   const std::size_t m =
       std::max(cfg.resources.size(), cfg.deadlock_unit_resources);
   const std::size_t n = cfg.max_tasks;
-  std::vector<std::size_t> master_of_task;
-  for (std::size_t t = 0; t < n; ++t)
-    master_of_task.push_back(t % cfg.pe_count);
   switch (cfg.deadlock) {
     case DeadlockComponent::kNone:
       return rtos::make_none_strategy(m, n, cfg.costs);
     case DeadlockComponent::kPddaSoftware:
       return rtos::make_pdda_software_strategy(m, n, cfg.costs);
     case DeadlockComponent::kDdu:
-      if (cfg.deadlock_clusters > 1)
-        return rtos::make_sharded_ddu_strategy(m, n, cfg.deadlock_clusters,
-                                               cfg.costs, bus,
-                                               std::move(master_of_task));
       return rtos::make_ddu_strategy(m, n, cfg.costs, bus,
-                                     std::move(master_of_task));
+                                     cfg.deadlock_clusters);
     case DeadlockComponent::kDaaSoftware:
       return rtos::make_daa_software_strategy(m, n, cfg.costs);
-    case DeadlockComponent::kDau:
-      if (cfg.deadlock_clusters > 1)
-        return rtos::make_sharded_dau_strategy(m, n, cfg.deadlock_clusters,
-                                               cfg.costs, bus,
-                                               std::move(master_of_task));
+    case DeadlockComponent::kDau: {
+      std::vector<std::size_t> master_of_task;
+      for (std::size_t t = 0; t < n; ++t)
+        master_of_task.push_back(t % cfg.pe_count);
       return rtos::make_dau_strategy(m, n, cfg.costs, bus,
-                                     std::move(master_of_task));
+                                     std::move(master_of_task),
+                                     cfg.deadlock_clusters);
+    }
     case DeadlockComponent::kBankers:
       return rtos::make_bankers_strategy(m, n, cfg.costs);
     case DeadlockComponent::kWfgRecovery:

@@ -14,6 +14,7 @@
 
 #include "fuzz/campaign.h"
 #include "fuzz/scenario_json.h"
+#include "soc/mpsoc.h"
 
 #ifndef DELTA_FUZZ_CORPUS_DIR
 #error "build must define DELTA_FUZZ_CORPUS_DIR"
@@ -164,6 +165,33 @@ TEST(Corpus, LargeShardedSeedPassesShardedPairsAndDeadlocks) {
         EXPECT_TRUE(o.deadlock_detected) << o.sut;
     }
   }
+}
+
+TEST(Corpus, GiveUpStormSeedIdlesUnderSoftwareDaa) {
+  // Run 32 of `delta_fuzz --generator large --seed 19` (24 PEs, 19
+  // resources, 48 tasks). From about cycle 1.34M every give-up asked of
+  // t31 found its grant of q19 still inside an in-flight service window:
+  // it released nothing, then retried both livelock-idled resources, and
+  // each retry re-livelocked and asked t31 again — the pending give-ups
+  // doubled every give_up_delay until millions of events sat at one
+  // cycle. With one give-up in flight per victim the software DAA
+  // drains in about 12k events.
+  const auto files = corpus_files();
+  const auto it = std::find_if(files.begin(), files.end(), [](const auto& p) {
+    return p.filename() == "giveup_storm_large.json";
+  });
+  ASSERT_NE(it, files.end());
+  const Scenario s = scenario_from_json(slurp(*it));
+  const SystemUnderTest& daa = find_pair("daa-dau").suts.front();
+  ASSERT_EQ(daa.preset, soc::RtosPreset::kRtos3);
+  const auto mpsoc = std::make_unique<soc::Mpsoc>(scenario_config(s, daa));
+  s.install(mpsoc->kernel());
+  mpsoc->kernel().start();
+  sim::Simulator& sim = mpsoc->simulator();
+  for (int i = 0; i < 100000 && sim.step(); ++i) {
+  }
+  EXPECT_TRUE(sim.idle()) << "stopped at cycle " << sim.now();
+  EXPECT_TRUE(mpsoc->kernel().all_finished());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Sharded DAU: every command's status register must be bit-identical to
-// the monolithic DAU's on the same stream (the decision engine is the
-// same Algorithm 3; only the probe cost model differs).
+// The DAU at C > 1 clusters (sharded): every command's status register
+// must be bit-identical to the C = 1 unit's on the same stream (the
+// decision engine is the same Algorithm 3; only the probe cost model
+// differs).
 #include <gtest/gtest.h>
 
 #include "hw/dau.h"
-#include "hw/sharded_dau.h"
 #include "rag/oracle.h"
 #include "sim/random.h"
 
@@ -25,7 +25,7 @@ void expect_same_status(const DauStatus& a, const DauStatus& b, int step) {
 
 TEST(ShardedDau, LockstepWithMonolithicDauAt64x64) {
   Dau mono(64, 64);
-  ShardedDau shard(64, 64, 8);
+  Dau shard(64, 64, 8);
   sim::Rng rng(11);  // same stream shape as LargeGeometry.DauOnA64x64System
   std::size_t escalated_commands = 0;
   for (int step = 0; step < 1500; ++step) {
@@ -60,12 +60,12 @@ TEST(ShardedDau, LockstepWithMonolithicDauAt64x64) {
 
 TEST(ShardedDau, WorstCaseUnitCyclesBeatMonolithic) {
   const Dau mono(64, 64);
-  const ShardedDau shard(64, 64, 8);
+  const Dau shard(64, 64, 8);
   EXPECT_LT(shard.worst_case_cycles(), mono.worst_case_cycles());
 }
 
 TEST(ShardedDau, GrantFaultInjectionMirrorsDau) {
-  ShardedDau shard(8, 8, 2);
+  Dau shard(8, 8, 2);
   shard.inject_grant_fault(true);
   EXPECT_TRUE(shard.grant_fault());
   // Build the two-process cross wait that the fault would mis-grant.

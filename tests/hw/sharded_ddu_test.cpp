@@ -1,10 +1,9 @@
-// Sharded DDU: verdict-identical to the monolithic DDU, cheaper unit
-// latency (cluster iteration bound) and smaller area, with software
-// escalation only for cross-cluster residues.
+// The DDU at C > 1 clusters (sharded): verdict-identical to the C = 1
+// unit, cheaper unit latency (cluster iteration bound) and smaller area,
+// with software escalation only for cross-cluster residues.
 #include <gtest/gtest.h>
 
 #include "hw/ddu.h"
-#include "hw/sharded_ddu.h"
 #include "hw/synth.h"
 #include "obs/metrics.h"
 #include "rag/generators.h"
@@ -19,12 +18,12 @@ TEST(ShardedDdu, RunAllMatchesMonolithicOnRandomStates) {
   const struct { std::size_t m, n, c; } geoms[] = {
       {16, 16, 4}, {64, 64, 8}, {96, 40, 6}};
   for (const auto& g : geoms) {
-    ShardedDdu unit(g.m, g.n, g.c);
+    Ddu unit(g.m, g.n, g.c);
     for (int i = 0; i < 30; ++i) {
       const rag::StateMatrix s =
           rag::random_state(g.m, g.n, rng, 0.5, 3.0 / double(g.m));
       unit.load(s);
-      const ShardedDduResult r = unit.run_all();
+      const DduResult r = unit.run();
       const DduResult mono = Ddu::evaluate(s);
       EXPECT_EQ(r.deadlock, mono.deadlock)
           << g.m << "x" << g.n << " C=" << g.c << " trial " << i;
@@ -34,7 +33,7 @@ TEST(ShardedDdu, RunAllMatchesMonolithicOnRandomStates) {
 
 TEST(ShardedDdu, RunEventMatchesMonolithicOnIncrementalWalks) {
   sim::Rng rng(555);
-  ShardedDdu unit(64, 64, 8);
+  Ddu unit(64, 64, 8);
   rag::StateMatrix s(64, 64);
   std::size_t deadlocks = 0;
   for (int step = 0; step < 2500; ++step) {
@@ -54,9 +53,9 @@ TEST(ShardedDdu, RunEventMatchesMonolithicOnIncrementalWalks) {
     s.set(q, p, next);
     unit.set_edge(q, p, next);
     if (next == rag::Edge::kNone) continue;  // releases cannot deadlock
-    const ShardedDduResult r = unit.run_event(q);
+    const DduResult r = unit.run_event(q);
     ASSERT_EQ(r.deadlock, Ddu::evaluate(s).deadlock) << "step " << step;
-    ASSERT_LE(r.unit_cycles, unit.cluster_iteration_bound());
+    ASSERT_LE(r.cycles, unit.cluster_iteration_bound());
     if (r.deadlock) {
       ++deadlocks;
       s.set(q, p, cur);
@@ -67,14 +66,14 @@ TEST(ShardedDdu, RunEventMatchesMonolithicOnIncrementalWalks) {
 }
 
 TEST(ShardedDdu, LocalCycleIsCaughtWithoutEscalation) {
-  ShardedDdu unit(64, 64, 8);
+  Ddu unit(64, 64, 8);
   rag::StateMatrix s(64, 64);
   s.set(2, 3, rag::Edge::kGrant);
   s.set(3, 2, rag::Edge::kGrant);
   s.set(3, 3, rag::Edge::kRequest);
   s.set(2, 2, rag::Edge::kRequest);
   unit.load(s);
-  const ShardedDduResult r = unit.run_event(2);
+  const DduResult r = unit.run_event(2);
   EXPECT_TRUE(r.deadlock);
   EXPECT_FALSE(r.escalated);
   EXPECT_EQ(r.residue_pe_cycles, 0u);
@@ -83,14 +82,14 @@ TEST(ShardedDdu, LocalCycleIsCaughtWithoutEscalation) {
 TEST(ShardedDdu, CrossClusterCycleEscalatesAndIsCaught) {
   // Grant q0 -> p9 (cluster 1's column block) and q9 -> p0: both edges
   // are remote, so closing the cycle must go through the resolver.
-  ShardedDdu unit(64, 64, 8);
+  Ddu unit(64, 64, 8);
   rag::StateMatrix s(64, 64);
   s.set(0, 9, rag::Edge::kGrant);
   s.set(9, 0, rag::Edge::kGrant);
   s.set(0, 0, rag::Edge::kRequest);
   s.set(9, 9, rag::Edge::kRequest);
   unit.load(s);
-  const ShardedDduResult r = unit.run_event(9);
+  const DduResult r = unit.run_event(9);
   EXPECT_TRUE(r.deadlock);
   EXPECT_TRUE(r.escalated);
   EXPECT_GT(r.residue_pe_cycles, 0u);
@@ -99,10 +98,10 @@ TEST(ShardedDdu, CrossClusterCycleEscalatesAndIsCaught) {
 
 TEST(ShardedDdu, ClusterIterationBoundBeatsMonolithicBound) {
   const Ddu mono64(64, 64);
-  const ShardedDdu shard64(64, 64, 8);
+  const Ddu shard64(64, 64, 8);
   EXPECT_LT(shard64.cluster_iteration_bound(), mono64.iteration_bound());
   const Ddu mono256(256, 256);
-  const ShardedDdu shard256(256, 256, 16);
+  const Ddu shard256(256, 256, 16);
   EXPECT_LT(shard256.cluster_iteration_bound(), mono256.iteration_bound());
 }
 
@@ -119,7 +118,7 @@ TEST(ShardedDdu, AreaBeatsMonolithicAtSixtyFourAndAbove) {
 
 TEST(ShardedDdu, MetricsCountRunsAndEscalations) {
   obs::MetricsRegistry reg;
-  ShardedDdu unit(16, 16, 4);
+  Ddu unit(16, 16, 4);
   unit.attach_metrics(reg);
   rag::StateMatrix s(16, 16);
   s.set(0, 5, rag::Edge::kGrant);   // remote edge (cluster 0 row, 1 col)

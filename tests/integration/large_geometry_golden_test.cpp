@@ -23,7 +23,6 @@
 #include <sstream>
 #include <string>
 
-#include "deadlock/hierarchical.h"
 #include "exp/sweep.h"
 #include "fuzz/differential.h"
 #include "fuzz/scenario.h"
@@ -65,20 +64,7 @@ fuzz::Scenario campaign_scenario(std::size_t i) {
 /// per-event PE and unit cycle charges can be summed.
 void render_run(const fuzz::Scenario& s, const fuzz::SystemUnderTest& sut,
                 std::ostream& os) {
-  soc::DeltaConfig cfg = soc::rtos_preset(sut.preset);
-  cfg.pe_count = s.pe_count;
-  cfg.task_count = s.tasks.size();
-  cfg.resource_count = s.resource_count;
-  cfg.deadlock_clusters =
-      sut.clusters == 0
-          ? deadlock::ClusterMap::default_clusters(s.resource_count)
-          : std::min(sut.clusters, s.resource_count);
-  soc::MpsocConfig mc = cfg.to_mpsoc_config();
-  mc.resources.clear();
-  for (std::size_t r = 0; r < s.resource_count; ++r)
-    mc.resources.push_back({"q" + std::to_string(r + 1), 0});
-  mc.trace = false;
-  mc.record_transitions = false;
+  soc::MpsocConfig mc = fuzz::scenario_config(s, sut);
   mc.trace_capacity = kTraceCapacity;
   const auto sys = std::make_unique<soc::Mpsoc>(mc);
   rtos::Kernel& k = sys->kernel();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "rag/oracle.h"
 #include "sim/random.h"
 
@@ -16,7 +19,7 @@ std::unique_ptr<DeadlockStrategy> make(const std::string& kind,
   std::vector<std::size_t> masters = {0, 1, 2, 3, 0};
   if (kind == "none") return make_none_strategy(kRes, kTasks, costs);
   if (kind == "pdda") return make_pdda_software_strategy(kRes, kTasks, costs);
-  if (kind == "ddu") return make_ddu_strategy(kRes, kTasks, costs, bus, masters);
+  if (kind == "ddu") return make_ddu_strategy(kRes, kTasks, costs, bus);
   if (kind == "daa") return make_daa_software_strategy(kRes, kTasks, costs);
   return make_dau_strategy(kRes, kTasks, costs, bus, masters);
 }
@@ -177,6 +180,103 @@ TEST(Strategies, MalformedEventsAreSafe) {
     EXPECT_FALSE(dup.granted) << kind;
     EXPECT_EQ(s->owner(0), 0u) << kind;
   }
+}
+
+// One Algorithm 3 decision must reach the kernel identically from every
+// avoidance backend: the software DAA, the DAU and the sharded DAU. The
+// walk drives all three in lockstep the way the kernel does — give-ups
+// are complied with a few steps late (release, re-request, retry every
+// livelock-idled resource) — so requests to free resources with queued
+// waiters re-run arbitration and can engage the livelock breaker.
+TEST(AvoidanceStrategies, LockstepDecisionsAgreeAcrossBackends) {
+  constexpr std::size_t kR = 4, kT = 5;
+  constexpr int kLate = 3;
+  const ServiceCosts costs;
+  const std::vector<std::size_t> masters = {0, 1, 2, 3, 0};
+  std::size_t livelocks = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    std::vector<std::unique_ptr<DeadlockStrategy>> s;
+    s.push_back(make_daa_software_strategy(kR, kT, costs));
+    s.push_back(make_dau_strategy(kR, kT, costs, nullptr, masters, 1));
+    s.push_back(make_dau_strategy(kR, kT, costs, nullptr, masters, 2));
+    struct GiveUp {
+      int due;
+      TaskId who;
+      std::vector<ResourceId> what;
+    };
+    std::vector<GiveUp> asks;
+    std::set<ResourceId> starved;
+    int step = 0;
+    std::string what;
+    // Apply one event on resource q to every backend and require equal
+    // decisions; record the kernel-visible side effects.
+    auto all = [&](ResourceId q, auto&& call) {
+      const ResourceEvent ev = call(*s[0]);
+      for (std::size_t b = 1; b < s.size(); ++b) {
+        const ResourceEvent other = call(*s[b]);
+        const std::string at = "seed " + std::to_string(seed) + " step " +
+                               std::to_string(step) + " " + what + " on " +
+                               s[b]->name();
+        EXPECT_EQ(ev.granted, other.granted) << at;
+        EXPECT_EQ(ev.grants, other.grants) << at;
+        EXPECT_EQ(ev.asked, other.asked) << at;
+        EXPECT_EQ(ev.ask_give_up, other.ask_give_up) << at;
+        EXPECT_EQ(ev.livelock, other.livelock) << at;
+        EXPECT_EQ(ev.r_dl, other.r_dl) << at;
+        EXPECT_EQ(ev.g_dl, other.g_dl) << at;
+      }
+      if (ev.livelock) {
+        ++livelocks;
+        starved.insert(q);
+      }
+      if (ev.asked != kNoTask && !ev.ask_give_up.empty())
+        asks.push_back({step + kLate, ev.asked, ev.ask_give_up});
+    };
+    sim::Rng rng(seed);
+    for (step = 0; step < 60 && !HasFailure(); ++step) {
+      // Comply with the give-ups that fell due, as the kernel does.
+      const auto due_end = std::stable_partition(
+          asks.begin(), asks.end(),
+          [&](const GiveUp& g) { return g.due <= step; });
+      const std::vector<GiveUp> due(asks.begin(), due_end);
+      asks.erase(asks.begin(), due_end);
+      for (const GiveUp& g : due) {
+        std::vector<ResourceId> released;
+        for (ResourceId q : g.what) {
+          if (s[0]->owner(q) != g.who) continue;
+          what = "give-up t" + std::to_string(g.who) + " q" +
+                 std::to_string(q);
+          all(q, [&](DeadlockStrategy& x) { return x.release(g.who, q, 0); });
+          released.push_back(q);
+        }
+        for (ResourceId q : released) {
+          what = "re-request t" + std::to_string(g.who) + " q" +
+                 std::to_string(q);
+          all(q, [&](DeadlockStrategy& x) { return x.request(g.who, q, 0); });
+        }
+        const std::set<ResourceId> retry = std::exchange(starved, {});
+        for (ResourceId q : retry) {
+          what = "retry q" + std::to_string(q);
+          all(q, [&](DeadlockStrategy& x) { return x.retry(q, 0); });
+        }
+      }
+      const auto p = static_cast<TaskId>(rng.below(kT));
+      const auto q = static_cast<ResourceId>(rng.below(kR));
+      if (s[0]->owner(q) == p) {
+        what = "release t" + std::to_string(p) + " q" + std::to_string(q);
+        all(q, [&](DeadlockStrategy& x) { return x.release(p, q, 0); });
+      } else if (s[0]->state()->at(q, p) == rag::Edge::kNone) {
+        what = "request t" + std::to_string(p) + " q" + std::to_string(q);
+        all(q, [&](DeadlockStrategy& x) { return x.request(p, q, 0); });
+      }
+      for (std::size_t b = 1; b < s.size(); ++b)
+        ASSERT_TRUE(*s[0]->state() == *s[b]->state())
+            << "seed " << seed << " step " << step << " " << what;
+    }
+    ASSERT_FALSE(HasFailure()) << "seed " << seed;
+  }
+  // The walk must reach the livelock breaker, or it proves nothing.
+  EXPECT_GT(livelocks, 0u);
 }
 
 TEST(Strategies, NamesIdentifyConfiguration) {

@@ -83,7 +83,7 @@ struct World {
         strategy = rtos::make_pdda_software_strategy(m, n, cfg.costs);
         break;
       case StrategyKind::kDdu:
-        strategy = rtos::make_ddu_strategy(m, n, cfg.costs, &bus, masters);
+        strategy = rtos::make_ddu_strategy(m, n, cfg.costs, &bus);
         break;
       case StrategyKind::kDaa:
         strategy = rtos::make_daa_software_strategy(m, n, cfg.costs);

@@ -9,82 +9,6 @@ using rag::Edge;
 using rag::ProcId;
 using rag::ResId;
 
-// ---------------------------------------------------------------- Banker --
-
-Banker::Banker(std::size_t resources, std::size_t processes)
-    : state_(resources, processes),
-      claim_(processes, std::vector<std::uint8_t>(resources, 0)) {}
-
-void Banker::declare_claim(ProcId p, ResId q) { claim_.at(p).at(q) = 1; }
-
-bool Banker::is_safe() {
-  const std::size_t m = state_.resources();
-  const std::size_t n = state_.processes();
-  std::vector<std::uint8_t> freed(m, 0);
-  std::vector<std::uint8_t> done(n, 0);
-  for (ResId s = 0; s < m; ++s) {
-    freed[s] = static_cast<std::uint8_t>(state_.owner(s) == rag::kNoProc);
-    meter_.loads += 1;
-    meter_.stores += 1;
-  }
-  // A process can finish if every *claimed but not yet held* resource is
-  // currently free; finishing releases its holdings. Safe iff all finish.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ProcId t = 0; t < n; ++t) {
-      meter_.loads += 1;
-      meter_.branches += 1;
-      if (done[t]) continue;
-      bool can_finish = true;
-      for (ResId s = 0; s < m; ++s) {
-        meter_.loads += 3;
-        meter_.branches += 2;
-        if (claim_[t][s] && state_.at(s, t) != Edge::kGrant && !freed[s]) {
-          can_finish = false;
-          break;
-        }
-      }
-      meter_.branches += 1;
-      if (!can_finish) continue;
-      done[t] = 1;
-      progress = true;
-      meter_.stores += 1;
-      for (ResId s = 0; s < m; ++s) {
-        meter_.loads += 1;
-        meter_.branches += 1;
-        if (state_.at(s, t) == Edge::kGrant) {
-          freed[s] = 1;
-          meter_.stores += 1;
-        }
-      }
-    }
-  }
-  return std::all_of(done.begin(), done.end(),
-                     [](std::uint8_t d) { return d != 0; });
-}
-
-Banker::Decision Banker::request(ProcId p, ResId q) {
-  meter_.loads += 1;
-  meter_.branches += 1;
-  if (!claim_[p][q]) return Decision::kErrorUnclaimed;
-  meter_.loads += 1;
-  meter_.branches += 1;
-  if (state_.owner(q) != rag::kNoProc) return Decision::kRefusedBusy;
-  state_.add_grant(q, p);
-  meter_.stores += 1;
-  if (is_safe()) return Decision::kGranted;
-  state_.clear(q, p);
-  meter_.stores += 1;
-  return Decision::kRefusedUnsafe;
-}
-
-void Banker::release(ProcId p, ResId q) {
-  assert(state_.at(q, p) == Edge::kGrant);
-  state_.clear(q, p);
-  meter_.stores += 1;
-}
-
 // ----------------------------------------------------------------- Belik --
 
 BelikAvoider::BelikAvoider(std::size_t resources, std::size_t processes)

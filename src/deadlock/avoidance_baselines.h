@@ -1,14 +1,12 @@
-// Prior-work deadlock *avoidance* algorithms (paper §3.3.3):
+// Prior-work deadlock *avoidance* baseline (paper §3.3.3): Belik (1990)
+// path-matrix cycle prevention. A request/grant edge is admitted only if
+// it closes no cycle; O(m*n) path-matrix updates. Belik offers no livelock
+// remedy (the paper calls this out), which the avoidance benches
+// demonstrate.
 //
-//  * Dijkstra's Banker's algorithm — requires a priori maximum claims;
-//    grants a request only if the resulting state is "safe".
-//  * Belik (1990) — path-matrix cycle prevention: a request/grant edge is
-//    admitted only if it closes no cycle; O(m*n) path-matrix updates.
-//    Belik offers no livelock remedy (the paper calls this out), which the
-//    avoidance benches demonstrate.
-//
-// Both are used by bench/scaling_avoidance and the comparison tests; the
-// paper's own contribution (DAA/DAU) lives in daa.h.
+// Used by bench/scaling_avoidance and the comparison tests. The other
+// §3.3.3 scheme, Banker's algorithm, is the runtime BankersEngine
+// (bankers.h); the paper's own contribution (DAA/DAU) lives in daa.h.
 #pragma once
 
 #include <cstdint>
@@ -18,34 +16,6 @@
 #include "rag/state_matrix.h"
 
 namespace delta::deadlock {
-
-/// Single-unit-resource Banker's algorithm.
-class Banker {
- public:
-  Banker(std::size_t resources, std::size_t processes);
-
-  /// Declare that process p may ever need resource q (the "claim").
-  void declare_claim(rag::ProcId p, rag::ResId q);
-
-  /// Request outcome: grant iff q is claimed, free, and the post-grant
-  /// state is safe; otherwise the request is refused (caller retries).
-  enum class Decision : std::uint8_t { kGranted, kRefusedUnsafe, kRefusedBusy, kErrorUnclaimed };
-  Decision request(rag::ProcId p, rag::ResId q);
-
-  void release(rag::ProcId p, rag::ResId q);
-
-  /// Safety check of the current allocation (exposed for tests).
-  [[nodiscard]] bool is_safe();
-
-  [[nodiscard]] const rag::StateMatrix& state() const { return state_; }
-  [[nodiscard]] const OpMeter& meter() const { return meter_; }
-  void reset_meter() { meter_.reset(); }
-
- private:
-  rag::StateMatrix state_;                  // grants only (no request edges)
-  std::vector<std::vector<std::uint8_t>> claim_;  // [p][q]
-  OpMeter meter_;
-};
 
 /// Belik-style path-matrix avoidance over the RAG digraph.
 class BelikAvoider {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "deadlock/daa.h"
+
 namespace delta::deadlock {
 
 using rag::Edge;
@@ -12,9 +14,12 @@ BankersEngine::BankersEngine(std::size_t resources, std::size_t processes)
     : state_(resources, processes),
       claim_(processes, std::vector<std::uint8_t>(resources, 0)),
       claim_all_(processes, 1),
-      priority_(processes, 0) {
+      priority_(processes, 0),
+      freed_(resources, 0),
+      done_(processes, 0) {
   // Default priorities: p1 highest, i.e. priority == index (DaaEngine).
   for (ProcId p = 0; p < processes; ++p) priority_[p] = static_cast<int>(p);
+  waiting_.reserve(processes);
 }
 
 void BankersEngine::declare_claims(ProcId p, const std::vector<ResId>& rs) {
@@ -34,10 +39,9 @@ bool BankersEngine::claimed(ProcId p, ResId q) const {
 bool BankersEngine::is_safe() {
   const std::size_t m = state_.resources();
   const std::size_t n = state_.processes();
-  std::vector<std::uint8_t> freed(m, 0);
-  std::vector<std::uint8_t> done(n, 0);
+  std::fill(done_.begin(), done_.end(), 0);
   for (ResId s = 0; s < m; ++s) {
-    freed[s] = static_cast<std::uint8_t>(state_.owner(s) == rag::kNoProc);
+    freed_[s] = static_cast<std::uint8_t>(state_.owner(s) == rag::kNoProc);
     meter_.loads += 1;
     meter_.stores += 1;
   }
@@ -49,32 +53,32 @@ bool BankersEngine::is_safe() {
     for (ProcId t = 0; t < n; ++t) {
       meter_.loads += 1;
       meter_.branches += 1;
-      if (done[t]) continue;
+      if (done_[t]) continue;
       bool can_finish = true;
       for (ResId s = 0; s < m; ++s) {
         meter_.loads += 3;
         meter_.branches += 2;
-        if (claimed(t, s) && state_.at(s, t) != Edge::kGrant && !freed[s]) {
+        if (claimed(t, s) && state_.at(s, t) != Edge::kGrant && !freed_[s]) {
           can_finish = false;
           break;
         }
       }
       meter_.branches += 1;
       if (!can_finish) continue;
-      done[t] = 1;
+      done_[t] = 1;
       progress = true;
       meter_.stores += 1;
       for (ResId s = 0; s < m; ++s) {
         meter_.loads += 1;
         meter_.branches += 1;
         if (state_.at(s, t) == Edge::kGrant) {
-          freed[s] = 1;
+          freed_[s] = 1;
           meter_.stores += 1;
         }
       }
     }
   }
-  return std::all_of(done.begin(), done.end(),
+  return std::all_of(done_.begin(), done_.end(),
                      [](std::uint8_t d) { return d != 0; });
 }
 
@@ -157,15 +161,8 @@ void BankersEngine::drain(Result& res) {
       meter_.loads += 1;
       meter_.branches += 1;
       if (state_.owner(s) != rag::kNoProc) continue;
-      std::vector<ProcId> w = state_.waiters(s);
-      meter_.loads += state_.processes();
-      meter_.branches += state_.processes();
-      std::stable_sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
-        return priority_[a] < priority_[b];  // smaller value = higher prio
-      });
-      meter_.alu += 2 * w.size();
-      meter_.loads += 2 * w.size();
-      for (ProcId cand : w) {
+      waiters_by_priority(state_, s, priority_, waiting_, meter_);
+      for (ProcId cand : waiting_) {
         state_.clear(s, cand);
         state_.add_grant(s, cand);
         meter_.stores += 2;

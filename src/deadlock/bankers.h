@@ -1,12 +1,16 @@
-// Runtime Banker's-algorithm avoidance engine (ROADMAP item 3a).
+// Dijkstra's Banker's algorithm (paper §3.3.3, the prior-work avoidance
+// scheme that needs claims declared in advance) as a kernel-drivable
+// runtime engine. A refused request parks the requester on a request
+// edge (block-and-retry instead of caller-side spinning), and a release
+// re-runs grant arbitration over *all* free resources so parked waiters
+// are handed their grants as soon as the state allows. Claims are
+// per-process maximum-claims declarations; a process with no declared
+// claims conservatively claims every resource. Waiters are tried in
+// DaaEngine's order (waiters_by_priority, daa.h).
 //
-// Unlike the bench-time `Banker` baseline (avoidance_baselines.h), this
-// engine is kernel-drivable: a refused request parks the requester on a
-// request edge (block-and-retry instead of caller-side spinning), and a
-// release re-runs grant arbitration over *all* free resources so parked
-// waiters are handed their grants as soon as the state allows. Claims
-// are per-process maximum-claims declarations; a process with no
-// declared claims conservatively claims every resource.
+// Besides Result::grants, request() and release() allocate nothing: the
+// safety probe and the arbitration sweep use scratch sized at
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +93,11 @@ class BankersEngine {
   OpMeter meter_;
   bool force_unsafe_ = false;
   std::uint64_t unsafe_refusals_ = 0;
+  // Hot-path scratch, sized at construction: the safety probe's freed
+  // resources and finished processes, and drain()'s waiter list.
+  std::vector<std::uint8_t> freed_;
+  std::vector<std::uint8_t> done_;
+  std::vector<rag::ProcId> waiting_;
 
   [[nodiscard]] bool claimed(rag::ProcId p, rag::ResId q) const;
   /// Grant every safe (resource, waiter) pair until no more commit.

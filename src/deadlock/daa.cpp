@@ -31,21 +31,20 @@ bool DaaEngine::run_detect() {
   return detect_(state_);
 }
 
-const std::vector<ProcId>& DaaEngine::waiters_by_priority(ResId q) {
-  std::vector<ProcId>& w = waiting_;
-  w.clear();
-  state_.for_each_waiter(q, [&w](ProcId t) { w.push_back(t); });
-  meter_.loads += state_.processes();  // scan request column entries
-  meter_.branches += state_.processes();
-  // Smaller value = higher priority; ties keep ascending id. Sorting on
-  // (priority, id) gives std::stable_sort's order without its temporary
-  // buffer.
-  std::sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
-    return priority_[a] != priority_[b] ? priority_[a] < priority_[b] : a < b;
+void waiters_by_priority(const rag::StateMatrix& state, ResId q,
+                         const std::vector<int>& priority,
+                         std::vector<ProcId>& out, OpMeter& meter) {
+  out.clear();
+  state.for_each_waiter(q, [&out](ProcId t) { out.push_back(t); });
+  meter.loads += state.processes();  // scan request column entries
+  meter.branches += state.processes();
+  // Sorting on (priority, id) gives std::stable_sort's order over the
+  // ascending-id scan without its temporary buffer.
+  std::sort(out.begin(), out.end(), [&priority](ProcId a, ProcId b) {
+    return priority[a] != priority[b] ? priority[a] < priority[b] : a < b;
   });
-  meter_.alu += 2 * w.size();  // sort compare/swap work
-  meter_.loads += 2 * w.size();
-  return w;
+  meter.alu += 2 * out.size();  // sort compare/swap work
+  meter.loads += 2 * out.size();
 }
 
 RequestResult DaaEngine::request(ProcId p, ResId q) {
@@ -177,12 +176,12 @@ ReleaseResult DaaEngine::retry_grant(ResId q) {
 
 ReleaseResult DaaEngine::arbitrate(ResId q) {
   ReleaseResult res;
-  const std::vector<ProcId>& waiting = waiters_by_priority(q);
+  waiters_by_priority(state_, q, priority_, waiting_, meter_);
 
   // Lines 17-22: try the highest-priority waiter first; on G-dl walk down
   // the priority order (line 19: "grant to a lower priority process").
-  for (std::size_t i = 0; i < waiting.size(); ++i) {
-    const ProcId w = waiting[i];
+  for (std::size_t i = 0; i < waiting_.size(); ++i) {
+    const ProcId w = waiting_[i];
     // Temporary grant on the internal matrix.
     state_.clear(q, w);
     state_.add_grant(q, w);
@@ -210,7 +209,7 @@ ReleaseResult DaaEngine::arbitrate(ResId q) {
   // is the DAU's livelock breaker (§4.1).
   // Identify the blocking cycle by probing the representative grant (to
   // the highest-priority waiter) and collecting the deadlocked processes.
-  const ProcId w0 = waiting.front();
+  const ProcId w0 = waiting_.front();
   state_.clear(q, w0);
   state_.add_grant(q, w0);
   const rag::PlaneReduction involved = rag::reduce_planes(state_, scratch_);

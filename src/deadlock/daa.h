@@ -81,6 +81,15 @@ struct ReleaseResult {
   std::vector<rag::ResId> asked_resources;
 };
 
+/// Grant-arbitration order shared by DaaEngine and BankersEngine: the
+/// waiters of q sorted by ascending `priority` value (smaller = higher
+/// priority), ties by lower id, written into `out`. Charges the request
+/// column scan and the sort to `meter`. Reserve `out` to the process
+/// count and the call allocates nothing.
+void waiters_by_priority(const rag::StateMatrix& state, rag::ResId q,
+                         const std::vector<int>& priority,
+                         std::vector<rag::ProcId>& out, OpMeter& meter);
+
 /// Live DAA engine over one m x n system.
 class DaaEngine {
  public:
@@ -140,9 +149,6 @@ class DaaEngine {
   rag::ReduceScratch scratch_;
 
   bool run_detect();
-  /// Waiters of q sorted by descending priority (ties: lower id first),
-  /// in waiting_; valid until the next call.
-  const std::vector<rag::ProcId>& waiters_by_priority(rag::ResId q);
   /// Grant arbitration over a free resource with >= 1 waiter (Algorithm 3
   /// lines 17-22 + livelock breaker). Shared by release/request/retry.
   ReleaseResult arbitrate(rag::ResId q);

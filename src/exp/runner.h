@@ -43,6 +43,14 @@ struct SweepReport {
   }
 };
 
+/// The one worker pool behind run_sweep and fuzz::run_campaign: calls
+/// job(i) for every i in [0, count) from min(threads, count) workers
+/// pulling indices from one atomic cursor. With at most one worker the
+/// jobs run inline on the calling thread, in index order, and no thread
+/// is started. Jobs must be safe to run concurrently.
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& job);
+
 /// Expand and execute every cell of `spec`.
 [[nodiscard]] SweepReport run_sweep(const SweepSpec& spec,
                                     const RunnerOptions& opt = {});

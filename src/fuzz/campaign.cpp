@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <thread>
 
 #include "exp/json.h"
+#include "exp/runner.h"
 #include "exp/sweep.h"
 #include "fuzz/scenario_json.h"
 
@@ -47,7 +47,6 @@ CampaignReport run_campaign(const CampaignOptions& opts) {
   report.fault = opts.fault;
   report.pairs = resolve_pairs(opts.pairs);
 
-  std::atomic<std::uint64_t> cursor{0};
   std::atomic<std::uint64_t> failing_runs{0};
   std::mutex failures_mu;
   std::vector<CampaignFailure> failures;
@@ -55,69 +54,54 @@ CampaignReport run_campaign(const CampaignOptions& opts) {
   soc::EngineReport engine_total;
   std::uint64_t engine_suts = 0;
 
-  auto worker = [&] {
-    while (true) {
-      const std::uint64_t run = cursor.fetch_add(1);
-      if (run >= opts.runs) return;
-      // Pure function of (base seed, run index): any thread may pick up
-      // any run and the scenario — hence the whole report — is the same.
-      const std::uint64_t run_seed = exp::derive_run_seed(
-          opts.seed, 0, static_cast<std::size_t>(run), run);
-      sim::Rng rng(run_seed);
-      Scenario scenario = random_scenario(opts.generator, rng);
-      scenario.seed = run_seed;
-      scenario.name = "run" + std::to_string(run);
+  auto job = [&](std::uint64_t run) {
+    // Pure function of (base seed, run index): any thread may pick up
+    // any run and the scenario — hence the whole report — is the same.
+    const std::uint64_t run_seed = exp::derive_run_seed(
+        opts.seed, 0, static_cast<std::size_t>(run), run);
+    sim::Rng rng(run_seed);
+    Scenario scenario = random_scenario(opts.generator, rng);
+    scenario.seed = run_seed;
+    scenario.name = "run" + std::to_string(run);
 
-      bool run_failed = false;
-      for (const std::string& pair_name : report.pairs) {
-        const BackendPair& pair = find_pair(pair_name);
-        DiffResult d = run_pair(scenario, pair, opts.fault,
-                                opts.engine_stats);
-        if (opts.engine_stats) {
-          // Primary executions only (shrink probes are excluded): the
-          // merge is commutative, so any completion order yields the
-          // same roll-up.
-          std::lock_guard<std::mutex> lock(engine_mu);
-          for (const RunOutcome& o : d.outcomes) {
-            if (!o.ok || !o.engine.enabled) continue;
-            engine_total.merge(o.engine);
-            ++engine_suts;
-          }
+    bool run_failed = false;
+    for (const std::string& pair_name : report.pairs) {
+      const BackendPair& pair = find_pair(pair_name);
+      DiffResult d = run_pair(scenario, pair, opts.fault,
+                              opts.engine_stats);
+      if (opts.engine_stats) {
+        // Primary executions only (shrink probes are excluded): the
+        // merge is commutative, so any completion order yields the
+        // same roll-up.
+        std::lock_guard<std::mutex> lock(engine_mu);
+        for (const RunOutcome& o : d.outcomes) {
+          if (!o.ok || !o.engine.enabled) continue;
+          engine_total.merge(o.engine);
+          ++engine_suts;
         }
-        if (!d.failed()) continue;
-        run_failed = true;
-
-        CampaignFailure f;
-        f.run_index = run;
-        f.pair = pair_name;
-        f.original = scenario;
-        ShrinkOptions so;
-        so.max_attempts = opts.shrink_attempts;
-        f.shrunk = shrink(
-            scenario,
-            [&](const Scenario& cand) {
-              return run_pair(cand, pair, opts.fault).failed();
-            },
-            so, &f.shrink_stats);
-        f.violations = run_pair(f.shrunk, pair, opts.fault).all_violations();
-        std::lock_guard<std::mutex> lock(failures_mu);
-        failures.push_back(std::move(f));
       }
-      if (run_failed) failing_runs.fetch_add(1);
-    }
-  };
+      if (!d.failed()) continue;
+      run_failed = true;
 
-  const std::size_t threads = std::max<std::size_t>(
-      1, std::min<std::size_t>(opts.threads,
-                               static_cast<std::size_t>(opts.runs)));
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+      CampaignFailure f;
+      f.run_index = run;
+      f.pair = pair_name;
+      f.original = scenario;
+      ShrinkOptions so;
+      so.max_attempts = opts.shrink_attempts;
+      f.shrunk = shrink(
+          scenario,
+          [&](const Scenario& cand) {
+            return run_pair(cand, pair, opts.fault).failed();
+          },
+          so, &f.shrink_stats);
+      f.violations = run_pair(f.shrunk, pair, opts.fault).all_violations();
+      std::lock_guard<std::mutex> lock(failures_mu);
+      failures.push_back(std::move(f));
+    }
+    if (run_failed) failing_runs.fetch_add(1);
+  };
+  exp::parallel_for(static_cast<std::size_t>(opts.runs), opts.threads, job);
 
   // Deterministic order regardless of which thread found what first;
   // keep the lowest run indices when truncating.

@@ -9,6 +9,11 @@
 
 namespace delta::rtos {
 
+namespace {
+// Test&set retry cadence of a short-CS spin lock (docs/CALIBRATION.md).
+constexpr sim::Cycles kSpinPollInterval = 12;
+}  // namespace
+
 const char* task_state_name(TaskState s) {
   switch (s) {
     case TaskState::kNotStarted: return "not-started";
@@ -1187,10 +1192,10 @@ void Kernel::spin_on_lock(TaskId id, LockId lk) {
   // lets obs/critpath count spin cycles without estimation.
   obs_->trace.record(obs::EventKind::kLockSpin,
                      static_cast<std::uint16_t>(pe), sim_.now(),
-                     cfg_.spin_poll_interval, lk);
+                     kSpinPollInterval, lk);
   const std::size_t words = locks_->spin_poll_bus_words();
   if (words > 0) bus_.transfer(pe, sim_.now(), words);
-  sim_.schedule_in(cfg_.spin_poll_interval, [this, id, lk] {
+  sim_.schedule_in(kSpinPollInterval, [this, id, lk] {
     if (halted_) return;
     spin_on_lock(id, lk);
   });

@@ -64,7 +64,6 @@ struct KernelConfig {
   /// protocol) instead of suspending. Software spinners hammer the bus;
   /// SoCLC spinners do not — §2.3.1's traffic-reduction claim.
   bool spin_short_locks = false;
-  sim::Cycles spin_poll_interval = 12;
   /// Periodic deadlock scan (wait-for-graph backend): every
   /// `detection_period` cycles the kernel invokes the strategy's scan()
   /// inside the resource-manager critical section. 0 = no periodic scan.
@@ -319,10 +318,6 @@ class Kernel {
   /// instant a task blocks. No-op when tracing is disabled.
   void record_wait_for(const Task& t, WaitKind why, std::uint64_t object);
   void wake_task(TaskId id);
-  void advance(TaskId id) {
-    ++task(id).pc;
-    step_task(id);
-  }
 
   /// Begin a non-preemptible kernel service on `pe` lasting `cycles`;
   /// `done` runs at completion (service flag cleared first). Templated

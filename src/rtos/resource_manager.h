@@ -94,8 +94,9 @@ class DeadlockStrategy {
 
   /// Per-invocation algorithm times (the "Algorithm Run Time" column of
   /// Tables 5/7/9). Detection strategies sample the detector; avoidance
-  /// strategies sample the full per-event decision time.
-  [[nodiscard]] const sim::SampleSet& algorithm_times() const {
+  /// strategies sample the full per-event decision time. Running totals
+  /// only: a run's store stays constant-size however many calls it makes.
+  [[nodiscard]] const sim::Accumulator& algorithm_times() const {
     return algo_times_;
   }
   [[nodiscard]] std::size_t invocations() const {
@@ -122,7 +123,7 @@ class DeadlockStrategy {
   }
 
  protected:
-  sim::SampleSet algo_times_;
+  sim::Accumulator algo_times_;
 };
 
 /// Factory helpers. `bus` may be null for strategies that do not touch

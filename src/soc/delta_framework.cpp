@@ -91,6 +91,8 @@ std::vector<ConfigError> DeltaConfig::validate() const {
              " SoCLC locks (must be empty or match exactly)"});
   if (memory == MemoryComponent::kSocdmmu && socdmmu.total_blocks == 0)
     errors.push_back({"socdmmu", "SoCDMMU selected with zero blocks"});
+  if (memory == MemoryComponent::kSocdmmu && socdmmu.block_bytes == 0)
+    errors.push_back({"socdmmu", "SoCDMMU selected with zero-byte blocks"});
   if (deadlock == DeadlockComponent::kWfgRecovery && detection_period == 0)
     errors.push_back({"detection_period",
                       "wait-for-graph detection requires a scan period "

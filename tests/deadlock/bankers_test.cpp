@@ -7,11 +7,27 @@
 // contains a cycle.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "deadlock/bankers.h"
 #include "rag/oracle.h"
 #include "sim/random.h"
+
+// Counts every heap allocation in this binary, so a test can show which
+// engine calls allocate.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace delta::deadlock {
 namespace {
@@ -157,6 +173,33 @@ TEST(Bankers, MeterChargesSafetyProbes) {
   const OpMeter& m = e.last_meter();
   EXPECT_GT(m.loads, 0u);
   EXPECT_GT(m.branches, 0u);
+}
+
+TEST(Bankers, RequestAndReleaseAllocateOnlyGrants) {
+  // The safety probe and the arbitration sweep run on scratch sized at
+  // construction: the only allocation an event may make is its own
+  // Result::grants list (vector growth: at most one per grant).
+  sim::Rng rng(11);
+  const std::size_t m = 4, n = 4;
+  BankersEngine e(m, n);  // claim-everything: most second grants are unsafe
+  std::size_t drained_grants = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const ProcId p = static_cast<ProcId>(rng.below(n));
+    const ResId q = static_cast<ResId>(rng.below(m));
+    const Edge edge = e.state().at(q, p);
+    if (edge == Edge::kRequest) {
+      if (rng.below(4) == 0) e.cancel_request(p, q);
+      continue;
+    }
+    const std::size_t before = g_allocations;
+    const BankersEngine::Result r =
+        edge == Edge::kGrant ? e.release(p, q) : e.request(p, q);
+    ASSERT_LE(g_allocations - before, r.grants.size()) << "step " << step;
+    drained_grants += r.grants.size();
+  }
+  // The walk reached both the refusing probe and the granting drain.
+  EXPECT_GT(e.unsafe_refusals(), 0u);
+  EXPECT_GT(drained_grants, 0u);
 }
 
 // Property: a Banker-managed state never contains a cycle, regardless

@@ -100,7 +100,7 @@ void render_run(const fuzz::Scenario& s, const fuzz::SystemUnderTest& sut,
     else os << f;
   }
   os << "],\n";
-  const double algo = k.strategy().algorithm_times().summary().sum();
+  const double algo = k.strategy().algorithm_times().sum();
   os << "     \"dl_events\": " << dl_events << ", \"pe_cycles\": " << pe_sum
      << ", \"unit_cycles\": " << unit_sum
      << ", \"invocations\": " << k.strategy().invocations()

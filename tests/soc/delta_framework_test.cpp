@@ -79,6 +79,16 @@ TEST(DeltaFramework, ValidationCatchesBadInput) {
   EXPECT_EQ(cfg3.validate()[0].field, "socdmmu");
 }
 
+TEST(DeltaFramework, ValidationRejectsZeroByteSocdmmuBlocks) {
+  // Before this check the config validated and generate() then threw
+  // from the Socdmmu constructor.
+  DeltaConfig cfg = rtos_preset(RtosPreset::kRtos7);
+  cfg.socdmmu.block_bytes = 0;
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].field, "socdmmu");
+}
+
 TEST(DeltaFramework, ValidationCollectsEveryViolation) {
   DeltaConfig cfg;
   cfg.pe_count = 0;

@@ -13,6 +13,12 @@
 # tentpole's strict report neutrality — turning collection on may add
 # "engine" members but must not perturb a single other byte.
 #
+# The Chrome trace golden (profile_chrome.json) is checked for byte
+# identity only: engine gauges add counter tracks to a Chrome document,
+# so it has no stats-on twin. Its trace capacity (100) is below each
+# run's event count and not a power of two, which pins the ring's wrap
+# order and the "(dropped N events)" metadata.
+#
 # usage: check_goldens.sh <examples-bin-dir> <golden-dir>
 set -euo pipefail
 
@@ -28,6 +34,10 @@ trap 'rm -rf "$tmp"' EXIT
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
     --sample-period 10000 --out "$tmp/profile_presets.json" \
     --baseline-out "$tmp/profile_baseline.json" >/dev/null
+"$bin_dir/delta_profile" --preset 1,4 --workload mixed --seed 1 \
+    --sample-period 10000 --trace-capacity 100 \
+    --out "$tmp/profile_chrome_profile.json" \
+    --chrome "$tmp/profile_chrome.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 \
     --out "$tmp/fuzz_campaign.json" >/dev/null
 
@@ -40,7 +50,8 @@ trap 'rm -rf "$tmp"' EXIT
     --out "$tmp/es_fuzz_campaign.json" >/dev/null
 
 status=0
-for f in sweep_mixed profile_presets profile_baseline fuzz_campaign; do
+for f in sweep_mixed profile_presets profile_baseline fuzz_campaign \
+    profile_chrome; do
   if cmp -s "$golden/$f.json" "$tmp/$f.json"; then
     echo "ok: $f.json byte-identical"
   else
@@ -48,6 +59,8 @@ for f in sweep_mixed profile_presets profile_baseline fuzz_campaign; do
     cmp "$golden/$f.json" "$tmp/$f.json" >&2 || true
     status=1
   fi
+done
+for f in sweep_mixed profile_presets profile_baseline fuzz_campaign; do
   python3 "$strip_py" "$tmp/es_$f.json" > "$tmp/es_$f.stripped.json"
   if cmp -s "$golden/$f.json" "$tmp/es_$f.stripped.json"; then
     echo "ok: $f.json neutral under --engine-stats"

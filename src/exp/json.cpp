@@ -1,13 +1,36 @@
 #include "exp/json.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
 namespace delta::exp {
 
 // ------------------------------------------------------------ writer --
+
+namespace {
+
+// Numbers are formatted with std::to_chars straight into the document:
+// no snprintf locale/format parsing and no temporary std::string.
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+// The standard defines to_chars(general, 12) as printf's "%.12g" in the
+// C locale, so these are the same bytes snprintf produced.
+void append_double(std::string& out, double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 12);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
 
 void JsonWriter::comma_and_indent() {
   if (pending_key_) {  // value directly after "key":
@@ -22,32 +45,32 @@ void JsonWriter::comma_and_indent() {
   }
 }
 
-void JsonWriter::append_escaped(const std::string& s) {
+void JsonWriter::append_escaped(std::string_view s) {
   out_ += '"';
-  for (const char c : s) {
-    switch (c) {
+  std::size_t run = 0;  // start of the pending run of bytes kept as-is
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    // Through unsigned char: bytes >= 0x80 must compare as 128..255.
+    // Bytes outside printable ASCII are \u-escaped (treated as Latin-1),
+    // so the output is always pure-ASCII valid JSON even for arbitrary
+    // byte strings.
+    const unsigned int u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u < 0x7f && u != '"' && u != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (u) {
       case '"': out_ += "\\\""; break;
       case '\\': out_ += "\\\\"; break;
       case '\n': out_ += "\\n"; break;
       case '\t': out_ += "\\t"; break;
       case '\r': out_ += "\\r"; break;
       default: {
-        // Escape through unsigned char: a signed `c` would sign-extend in
-        // snprintf and emit garbage like "￿ff8e" for bytes >= 0x80.
-        // Bytes outside printable ASCII are \u-escaped (treated as
-        // Latin-1), so the output is always pure-ASCII valid JSON even
-        // for arbitrary byte strings.
-        const unsigned int u = static_cast<unsigned char>(c);
-        if (u < 0x20 || u >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", u);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+        out_.append(esc, sizeof esc);
       }
     }
   }
+  out_.append(s.data() + run, s.size() - run);
   out_ += '"';
 }
 
@@ -87,7 +110,7 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   comma_and_indent();
   append_escaped(k);
   out_ += ": ";
@@ -95,14 +118,14 @@ JsonWriter& JsonWriter::key(const std::string& k) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   comma_and_indent();
   append_escaped(v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const char* v) {
-  return value(std::string(v));
+  return value(std::string_view(v));
 }
 
 JsonWriter& JsonWriter::value(double v) {
@@ -110,7 +133,7 @@ JsonWriter& JsonWriter::value(double v) {
   // JSON has no NaN/Infinity literals; "%.12g" would happily print them
   // and corrupt the document for strict parsers and report diffing.
   if (std::isfinite(v)) {
-    out_ += format_double(v);
+    append_double(out_, v);
   } else {
     out_ += "null";
   }
@@ -125,20 +148,20 @@ JsonWriter& JsonWriter::value(bool v) {
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma_and_indent();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma_and_indent();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 // ------------------------------------------------------------ report --

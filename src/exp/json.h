@@ -2,12 +2,14 @@
 //
 // A deliberately small streaming writer (the repo has no JSON
 // dependency) plus the report serializer. Number formatting is fixed
-// ("%.12g" doubles, decimal integers) so that the same results always
-// produce the same bytes — the property the determinism tests pin.
+// ("%.12g" doubles, decimal integers, both through std::to_chars) so that
+// the same results always produce the same bytes — the property the
+// determinism tests pin.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.h"
@@ -22,8 +24,9 @@ class JsonWriter {
   JsonWriter& begin_array();
   JsonWriter& end_array();
   /// Key inside an object; follow with a value or begin_*.
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
+  /// Keeps string literals off the value(bool) overload.
   JsonWriter& value(const char* v);
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
@@ -34,7 +37,7 @@ class JsonWriter {
 
  private:
   void comma_and_indent();
-  void append_escaped(const std::string& s);
+  void append_escaped(std::string_view s);
 
   std::string out_;
   std::vector<bool> has_items_;  ///< per open scope

@@ -1,7 +1,10 @@
 #include "fuzz/scenario.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+
+#include "soc/delta_framework.h"
 
 namespace delta::fuzz {
 
@@ -16,6 +19,20 @@ const char* step_kind_name(Step::Kind k) {
     case Step::Kind::kFree: return "free";
   }
   return "?";
+}
+
+std::uint64_t smallest_preset_heap_bytes() {
+  static const std::uint64_t least = [] {
+    std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
+    for (const soc::RtosPreset p : soc::kAllRtosPresets) {
+      const soc::MpsocConfig mc = soc::rtos_preset(p).to_mpsoc_config();
+      const std::uint64_t dmmu =
+          std::uint64_t{mc.socdmmu.total_blocks} * mc.socdmmu.block_bytes;
+      bytes = std::min({bytes, mc.heap_bytes, dmmu});
+    }
+    return bytes;
+  }();
+  return least;
 }
 
 std::vector<std::string> Scenario::validate() const {
@@ -42,7 +59,8 @@ std::vector<std::string> Scenario::validate() const {
     std::set<rtos::ResourceId> held;
     std::set<rtos::LockId> locked;
     std::set<std::string> slots;
-    for (const Step& s : t.steps) {
+    for (std::size_t si = 0; si < t.steps.size(); ++si) {
+      const Step& s = t.steps[si];
       switch (s.kind) {
         case Step::Kind::kCompute:
           break;
@@ -82,6 +100,13 @@ std::vector<std::string> Scenario::validate() const {
           break;
         case Step::Kind::kAlloc:
           if (s.bytes == 0) err(who + ": zero-byte alloc");
+          // Larger than some backend's whole heap: no SUT could grant
+          // it, so it is a malformed scenario, not a differential find.
+          if (s.bytes > smallest_preset_heap_bytes())
+            err(who + ": step " + std::to_string(si) + " allocates " +
+                std::to_string(s.bytes) + " bytes, more than the " +
+                std::to_string(smallest_preset_heap_bytes()) +
+                "-byte heap of the smallest preset");
           if (!slots.insert(s.slot).second)
             err(who + ": reuses live slot '" + s.slot + "'");
           break;

@@ -61,6 +61,12 @@ struct ScenarioTask {
   bool operator==(const ScenarioTask&) const = default;
 };
 
+/// The smallest heap any Table 3 preset builds: the lesser of the
+/// software heap's MpsocConfig::heap_bytes and SoCDMMU's
+/// total_blocks × block_bytes over every preset. An alloc step larger
+/// than this could fail on some SUT for size alone.
+[[nodiscard]] std::uint64_t smallest_preset_heap_bytes();
+
 /// A complete, replayable system exercise.
 struct Scenario {
   std::string name;
@@ -76,7 +82,8 @@ struct Scenario {
   /// Structural well-formedness: geometry within rtos::kMaxGeometry,
   /// ids in range, matched
   /// request/release, lock/unlock and alloc/free pairs, no task
-  /// requesting a resource it already holds. Empty vector == valid.
+  /// requesting a resource it already holds, no alloc larger than
+  /// smallest_preset_heap_bytes(). Empty vector == valid.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// The task's script as a kernel Program.

@@ -1,7 +1,8 @@
 #include "obs/chrome_trace.h"
 
-#include <cstdio>
+#include <charconv>
 #include <set>
+#include <string_view>
 
 namespace delta::obs {
 
@@ -31,27 +32,32 @@ ArgNames arg_names(EventKind kind) {
 }
 
 // Process/thread names come from fixed vocabulary plus config names; the
-// escaping here only has to keep the document well-formed.
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    const unsigned int u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
+// escaping here only has to keep the document well-formed. Unlike
+// exp::JsonWriter, every control byte (newline included) becomes \u00XX:
+// the bytes of this document are pinned as they are.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the pending run of bytes kept as-is
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned int u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u < 0x7f && u != '"' && u != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (u == '"' || u == '\\') {
       out += '\\';
-      out += c;
-    } else if (u < 0x20 || u >= 0x7f) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", u);
-      out += buf;
+      out += static_cast<char>(u);
     } else {
-      out += c;
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+      out.append(esc, sizeof esc);
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
+  char buf[20];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace

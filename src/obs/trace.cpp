@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+
 namespace delta::obs {
 
 const char* event_kind_name(EventKind kind) {
@@ -53,35 +55,39 @@ WaitForInfo unpack_wait_for(std::uint64_t a1) {
 void TraceRecorder::record_slow(EventKind kind, std::uint16_t pe,
                                 sim::Cycles start, sim::Cycles dur,
                                 std::uint64_t a0, std::uint64_t a1) {
-  Event& e = ring_[next_];
-  e.start = start;
-  e.dur = dur;
-  e.a0 = a0;
-  e.a1 = a1;
-  e.kind = kind;
-  e.pe = pe;
-  next_ = next_ + 1 == cap_ ? 0 : next_ + 1;
   ++recorded_;
+  if (ring_.size() < cap_) {
+    // Still filling: append, growing geometrically but never past the
+    // bound, so a run pays for the events it records, not for cap_.
+    if (ring_.size() == ring_.capacity())
+      ring_.reserve(std::min(cap_, std::max<std::size_t>(
+                                       kInitialSlots, 2 * ring_.size())));
+    ring_.push_back(Event{start, dur, a0, a1, kind, pe});
+    return;
+  }
+  // Full: overwrite the oldest event (next_ stays 0 while filling, which
+  // is where the oldest event sits once the ring first fills).
+  ring_[next_] = Event{start, dur, a0, a1, kind, pe};
+  next_ = next_ + 1 == cap_ ? 0 : next_ + 1;
 }
 
 void TraceRecorder::enable(std::size_t capacity) {
   cap_ = capacity;
-  ring_.assign(capacity, Event{});
+  ring_.clear();
+  // Keep a previous run's storage only while it fits the new bound.
+  if (ring_.capacity() > capacity) ring_.shrink_to_fit();
   next_ = 0;
   recorded_ = 0;
 }
 
 std::vector<Event> TraceRecorder::events() const {
+  // Until the ring first fills, next_ is 0 and ring_ is in recording
+  // order; once it has wrapped, the oldest retained event sits at next_.
+  const auto first = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
   std::vector<Event> out;
-  if (cap_ == 0 || recorded_ == 0) return out;
-  const std::size_t kept =
-      recorded_ < cap_ ? static_cast<std::size_t>(recorded_) : cap_;
-  out.reserve(kept);
-  // When the ring has wrapped, the oldest retained event sits at next_.
-  const std::size_t first = recorded_ < cap_ ? 0 : next_;
-  for (std::size_t i = 0; i < kept; ++i) {
-    out.push_back(ring_[(first + i) % cap_]);
-  }
+  out.reserve(ring_.size());
+  out.insert(out.end(), first, ring_.end());
+  out.insert(out.end(), ring_.begin(), first);
   return out;
 }
 

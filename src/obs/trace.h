@@ -4,9 +4,10 @@
 // Disabled recorders (the default) cost one predictable branch per
 // record() call — no allocation, no formatting, no virtual dispatch — so
 // instrumentation can stay compiled into the hot paths. Enabled
-// recorders overwrite the oldest events once full (drop-oldest ring),
-// keeping memory bounded on arbitrarily long runs; dropped() reports how
-// many fell off the front.
+// recorders grow with the events recorded, up to the capacity passed to
+// enable(), and overwrite the oldest events once full (drop-oldest
+// ring), keeping memory bounded on arbitrarily long runs; dropped()
+// reports how many fell off the front.
 //
 // Events carry two uninterpreted u64 payload slots (a0/a1) whose meaning
 // depends on the kind; chrome_trace.h knows how to label them.
@@ -82,7 +83,10 @@ struct Event {
 class TraceRecorder {
  public:
   /// Start recording, keeping at most `capacity` most-recent events.
-  /// enable(0) disables recording again (and clears the buffer).
+  /// `capacity` is a bound, not an up-front allocation: the ring grows
+  /// geometrically as events arrive and never holds more than
+  /// min(recorded(), capacity) of them. enable(0) disables recording
+  /// again (and clears the buffer).
   void enable(std::size_t capacity);
 
   [[nodiscard]] bool enabled() const { return cap_ != 0; }
@@ -114,9 +118,12 @@ class TraceRecorder {
   void record_slow(EventKind kind, std::uint16_t pe, sim::Cycles start,
                    sim::Cycles dur, std::uint64_t a0, std::uint64_t a1);
 
-  std::vector<Event> ring_;
+  /// Slots reserved by the first record() after enable().
+  static constexpr std::size_t kInitialSlots = 64;
+
+  std::vector<Event> ring_;    ///< size() < cap_ until the ring first fills
   std::size_t cap_ = 0;        ///< 0 == disabled
-  std::size_t next_ = 0;       ///< ring slot the next event lands in
+  std::size_t next_ = 0;       ///< slot the next event overwrites once full
   std::uint64_t recorded_ = 0;
 };
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -54,6 +58,59 @@ TEST(JsonWriter, NonFiniteDoublesSerializeAsNull) {
 TEST(JsonWriter, FiniteDoubleFormattingIsStable) {
   EXPECT_EQ(format_double(0.1), "0.1");
   EXPECT_EQ(format_double(1e300), "1e+300");
+}
+
+TEST(JsonWriter, DoubleFormattingMatchesPrintf) {
+  // Reports promise "%.12g" bytes. The writer produces them without
+  // snprintf, so check both format_double and value(double) against
+  // snprintf itself over random bit patterns, scaled integers and the
+  // edges where %g switches notation or rounding carries a digit.
+  std::vector<double> cases = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.5,
+      1e-5, 1e-4, 9.99999999999e-5, 9.999999999995e-5, 0.0001000000000005,
+      1e11, 1e12, -1e12, 999999999999.0, 999999999999.5, 999999999999.4,
+      1e15, 123456789012345.0, 0.30000000000000004, 2.0 / 3.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+  };
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // splitmix64 state
+  const auto next = [&x] {
+    std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 150000; ++i) {
+    const std::uint64_t bits = next();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) cases.push_back(v);
+  }
+  // Scaled integers: the means, ratios and percentiles reports hold.
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t r = next();
+    const double scale = std::pow(10.0, static_cast<int>(r % 31) - 15);
+    cases.push_back(static_cast<double>((r >> 8) % 100000000) * scale);
+  }
+  ASSERT_GT(cases.size(), 190000u);
+
+  std::size_t mismatches = 0;
+  for (const double v : cases) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+    JsonWriter w;
+    w.value(v);
+    if (format_double(v) == buf && w.str() == buf) continue;
+    if (++mismatches <= 5)
+      ADD_FAILURE() << "printf " << buf << ", format_double "
+                    << format_double(v) << ", value " << w.str();
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ReportToJson, IncludesMetricsRegistrySection) {

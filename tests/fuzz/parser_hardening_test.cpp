@@ -141,6 +141,31 @@ std::string mutate(std::string s, char key_sep, sim::Rng& rng) {
   return s;
 }
 
+/// Replace the value of one "bytes" member (an alloc size) with a size at,
+/// around or far beyond the smallest preset heap, and return that size
+/// (0 when the document has no alloc step).
+std::uint64_t edit_alloc_bytes(std::string& s, sim::Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> values;  // [begin, end)
+  const std::string key = "\"bytes\"";
+  for (std::size_t at = s.find(key); at != std::string::npos;
+       at = s.find(key, at + 1)) {
+    std::size_t b = at + key.size();
+    while (b < s.size() && (s[b] == ':' || s[b] == ' ')) ++b;
+    std::size_t e = b;
+    while (e < s.size() && s[e] >= '0' && s[e] <= '9') ++e;
+    if (e > b) values.emplace_back(b, e);
+  }
+  if (values.empty()) return 0;
+  const auto [b, e] = values[rng.below(values.size())];
+  static const char* const kSizes[] = {
+      "1",          "4096",          "65537",         "8388607",
+      "8388608",    "8388609",       "16777216",      "4294967296",
+      "1000000000000", "18446744073709551615"};
+  const std::string size = kSizes[rng.below(std::size(kSizes))];
+  s.replace(b, e - b, size);
+  return std::stoull(size);
+}
+
 struct Tally {
   int rejected = 0;
   int accepted = 0;
@@ -182,6 +207,44 @@ TEST(ParserHardening, MutatedScenariosRejectOrRun) {
     }
   }
   // The mutator must reach both sides, or the test proves little.
+  EXPECT_GT(tally.rejected, 0);
+  EXPECT_GT(tally.accepted, 0);
+}
+
+TEST(ParserHardening, MutatedAllocSizesRejectOrRun) {
+  // An alloc larger than some SUT's whole heap is a malformed scenario:
+  // validate() must reject it, naming the task and step, rather than let
+  // the run report a differential "allocation failed" on every SUT.
+  const std::vector<std::string> seeds = small_corpus_seeds();
+  const fuzz::BackendPair& pair = fuzz::find_pair("pdda-ddu");
+  const std::uint64_t heap = fuzz::smallest_preset_heap_bytes();
+  sim::Rng rng(0xa110c);
+  Tally tally;
+  for (std::size_t si = 0; si < seeds.size(); ++si) {
+    for (int m = 0; m < 40; ++m) {
+      std::string text = seeds[si];
+      const std::uint64_t bytes = edit_alloc_bytes(text, rng);
+      if (bytes == 0) break;
+      SCOPED_TRACE("scenario seed " + std::to_string(si) + " mutant " +
+                   std::to_string(m) + ":\n" + text);
+      fuzz::Scenario s;
+      try {  // the reader runs validate() on what it parsed
+        s = fuzz::scenario_from_json(text);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_GT(bytes, heap) << e.what();
+        EXPECT_NE(std::string(e.what()).find(": step "), std::string::npos)
+            << e.what();
+        ++tally.rejected;
+        continue;
+      }
+      ASSERT_LE(bytes, heap);
+      ++tally.accepted;
+      s.run_limit = std::min(s.run_limit, kRunLimitCap);
+      const fuzz::DiffResult d = fuzz::run_pair(s, pair);
+      for (const fuzz::RunOutcome& o : d.outcomes)
+        EXPECT_TRUE(o.ok) << o.sut << ": " << o.error;
+    }
+  }
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.accepted, 0);
 }

@@ -122,6 +122,21 @@ TEST(Scenario, ValidateCatchesStructuralMistakes) {
   EXPECT_FALSE(bad.validate().empty());  // re-entered lock
 }
 
+TEST(Scenario, ValidateRejectsAllocLargerThanSmallestPresetHeap) {
+  // The software heap (8 MiB) is smaller than SoCDMMU's 256 x 64 KiB.
+  EXPECT_EQ(smallest_preset_heap_bytes(), 8u * 1024 * 1024);
+  Scenario s = tiny_scenario();
+  s.tasks[0].steps[2].bytes = smallest_preset_heap_bytes();
+  EXPECT_TRUE(s.validate().empty());  // exactly the bound is structural
+
+  s.tasks[0].steps[2].bytes = 1'000'000'000'000ULL;
+  const std::vector<std::string> errors = s.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors.front(),
+            "task 0 (t0): step 2 allocates 1000000000000 bytes, more than "
+            "the 8388608-byte heap of the smallest preset");
+}
+
 TEST(ScenarioJson, RoundTripPreservesEverything) {
   GeneratorParams params;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {

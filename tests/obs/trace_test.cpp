@@ -2,9 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include "obs/chrome_trace.h"
+
+// Counts the bytes of every heap allocation in this binary (and the
+// largest single one), so a test can show what an enabled recorder
+// costs in memory.
+namespace {
+std::size_t g_allocated_bytes = 0;
+std::size_t g_largest_allocation = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocated_bytes += size;
+  if (size > g_largest_allocation) g_largest_allocation = size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace delta::obs {
 namespace {
@@ -50,6 +69,55 @@ TEST(TraceRecorder, DropOldestWhenFull) {
     EXPECT_EQ(ev[i].a0, i + 3);
     EXPECT_EQ(ev[i].start, 10 * (i + 3));
   }
+}
+
+TEST(TraceRecorder, MemoryGrowsWithRecordedEventsNotCapacity) {
+  // The capacity is a bound, not an up-front allocation: a profiled run
+  // records a few hundred events into a 262144-slot bound, and must not
+  // pay 10 MB of ring for them.
+  TraceRecorder t;
+  const std::size_t before = g_allocated_bytes;
+  t.enable(262144);
+  EXPECT_EQ(g_allocated_bytes - before, 0u);
+  for (std::uint64_t i = 0; i < 300; ++i)
+    t.record(EventKind::kBusTransfer, 0, i, 1, i, 0);
+  EXPECT_LT(g_allocated_bytes - before, 64u * 1024);
+  EXPECT_EQ(t.recorded(), 300u);
+  EXPECT_EQ(t.dropped(), 0u);
+  const std::vector<Event> ev = t.events();
+  ASSERT_EQ(ev.size(), 300u);
+  for (std::size_t i = 0; i < ev.size(); ++i) EXPECT_EQ(ev[i].a0, i);
+}
+
+TEST(TraceRecorder, NonPowerOfTwoCapacityWrapsAndReenablesEmpty) {
+  // 250 records into a 100-event bound: the ring fills by appending,
+  // then overwrites oldest-first; growth must stop at exactly 100.
+  TraceRecorder t;
+  g_largest_allocation = 0;
+  t.enable(100);
+  for (std::uint64_t i = 0; i < 250; ++i)
+    t.record(EventKind::kContextSwitch, static_cast<std::uint16_t>(i % 4),
+             10 * i, 0, i);
+  EXPECT_LE(g_largest_allocation, 100 * sizeof(Event));
+  EXPECT_EQ(t.recorded(), 250u);
+  EXPECT_EQ(t.dropped(), 150u);
+  std::vector<Event> ev = t.events();
+  ASSERT_EQ(ev.size(), 100u);
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_EQ(ev[i].a0, i + 150);
+    EXPECT_EQ(ev[i].start, 10 * (i + 150));
+    EXPECT_EQ(ev[i].pe, (i + 150) % 4);
+  }
+  // Re-enabling after use starts empty and fills from scratch.
+  t.enable(100);
+  EXPECT_EQ(t.recorded(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_TRUE(t.events().empty());
+  for (std::uint64_t i = 0; i < 3; ++i)
+    t.record(EventKind::kAlloc, 1, i, 0, 1000 + i);
+  ev = t.events();
+  ASSERT_EQ(ev.size(), 3u);
+  for (std::size_t i = 0; i < ev.size(); ++i) EXPECT_EQ(ev[i].a0, 1000 + i);
 }
 
 TEST(TraceRecorder, EnableZeroDisablesAndClears) {
